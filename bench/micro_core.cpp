@@ -1,8 +1,9 @@
 // Perf-smoke harness + micro-benchmarks of the library's hot paths.
 //
 // Default mode times each core kernel — pairwise distance matrix, one MLE
-// sweep, the max-quality greedy, a batched Φ evaluation, and one full
-// simulation run — serial vs. the parallel runtime, verifies the outputs are
+// sweep, the max-quality greedy (per-task and class-keyed planes), a batched
+// Φ evaluation, and one full simulation run — serial vs. the parallel
+// runtime, verifies the outputs are
 // bit-identical, and writes BENCH_core.json (median-of-reps ns/op, speedup,
 // machine info). Kernels with a rewritten hot path also record before/after
 // columns (naive vs blocked distances, rescan vs CELF, scalar vs batched Φ)
@@ -11,12 +12,14 @@
 // trajectory every later PR is measured against.
 //
 //   micro_core [--out=BENCH_core.json] [--reps=3] [--threads=N] [--quick]
+//              [--git-sha=SHA]
 //
 // Passing --gbench (or any --benchmark* flag) runs the original
 // google-benchmark suite instead: MLE truth analysis, average-linkage
 // clustering, the max-quality greedy, pair-word extraction, and skip-gram
 // training throughput.
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <chrono>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "alloc/max_quality.h"
-#include "alloc/sharded_greedy.h"
 #include "clustering/dynamic_clusterer.h"
 #include "clustering/linkage.h"
 #include "common/flags.h"
@@ -398,6 +400,85 @@ std::vector<Kernel> make_kernels(bool quick) {
         }});
   }
 
+  // 3b. Max-quality allocation on the class-keyed plane at the
+  //     campaign_known shape: 400 users, 400 tasks over 16 domain classes.
+  //     Extras time the same problem expanded to per-task columns (the
+  //     layout before class keying) and check the two allocations agree
+  //     pair for pair.
+  {
+    const std::size_t users = 400;
+    const std::size_t tasks = 400;
+    const std::size_t classes = 16;
+    Rng rng(31);
+    auto keyed = std::make_shared<eta2::alloc::AllocationProblem>();
+    keyed->expertise.assign(users, classes);
+    for (double& u : keyed->expertise.data()) u = rng.uniform(0.1, 3.0);
+    keyed->task_time.resize(tasks);
+    for (double& t : keyed->task_time) t = rng.uniform(0.5, 1.5);
+    keyed->task_class.resize(tasks);
+    for (std::size_t& k : keyed->task_class) {
+      k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(classes) - 1));
+    }
+    keyed->user_capacity.assign(users, 12.0);
+    auto expanded = std::make_shared<eta2::alloc::AllocationProblem>(*keyed);
+    expanded->task_class.clear();
+    expanded->expertise.assign(users, tasks);
+    for (std::size_t i = 0; i < users; ++i) {
+      for (std::size_t j = 0; j < tasks; ++j) {
+        expanded->expertise(i, j) = keyed->expertise(i, keyed->task_class[j]);
+      }
+    }
+    const auto allocate_pairs = [](const eta2::alloc::AllocationProblem& p) {
+      const auto allocation = eta2::alloc::MaxQualityAllocator().allocate(p);
+      std::vector<double> signature;
+      for (std::size_t j = 0; j < p.task_count(); ++j) {
+        signature.push_back(-1.0);
+        for (const std::size_t i : allocation.users_of(j)) {
+          signature.push_back(static_cast<double>(i));
+        }
+      }
+      return signature;
+    };
+    const auto run_keyed = [keyed, allocate_pairs]() {
+      return allocate_pairs(*keyed);
+    };
+    kernels.push_back(Kernel{
+        "class_keyed_allocate", tasks, run_keyed,
+        [keyed, expanded, classes, run_keyed, allocate_pairs](
+            int reps, KernelTiming& timing) {
+          const auto gains = [](const eta2::alloc::AllocationProblem& p) {
+            eta2::alloc::GreedyStats stats;
+            (void)eta2::alloc::MaxQualityAllocator().allocate(p, &stats);
+            return stats.gain_evaluations;
+          };
+          std::vector<double> per_task_signature;
+          const double per_task_ns = time_median_ns(
+              [expanded, allocate_pairs]() {
+                return allocate_pairs(*expanded);
+              },
+              reps, per_task_signature);
+          std::vector<double> keyed_signature;
+          const double keyed_ns =
+              time_median_ns(run_keyed, reps, keyed_signature);
+          timing.extra.emplace_back("classes", std::to_string(classes));
+          timing.extra.emplace_back("gain_evaluations_per_task",
+                                    std::to_string(gains(*expanded)));
+          timing.extra.emplace_back("gain_evaluations_class_keyed",
+                                    std::to_string(gains(*keyed)));
+          timing.extra.emplace_back("per_task_ns_per_op",
+                                    format_ns(per_task_ns));
+          timing.extra.emplace_back("class_keyed_ns_per_op",
+                                    format_ns(keyed_ns));
+          timing.extra.emplace_back("class_keyed_speedup",
+                                    format_ratio(per_task_ns, keyed_ns));
+          timing.extra.emplace_back(
+              "per_task_bit_identical",
+              bitwise_equal(per_task_signature, keyed_signature) ? "true"
+                                                                 : "false");
+        }});
+  }
+
   // 4. Batched Φ evaluation (Eq. 11, p_ij = 2Φ(εu) − 1): the span kernel
   //    the allocators route their probability builds through, vs the scalar
   //    entry point it replaced (per-cell validation and all).
@@ -449,10 +530,11 @@ std::vector<Kernel> make_kernels(bool quick) {
   }
 
   // 5. Domain-sharded step kernel (DESIGN.md §12): one sharded truth
-  //    estimate + sharded max-quality allocation over 16 domains, timed
-  //    serial vs parallel by the harness (the per-shard fan-out is the
-  //    parallel surface). Extras record the monolithic reference path and
-  //    its bitwise check — kExact must match the unsharded bytes exactly.
+  //    estimate + max-quality allocation over 16 domains, timed serial vs
+  //    parallel by the harness (the per-shard truth fan-out and the engine
+  //    build are the parallel surfaces). Extras record the monolithic
+  //    reference path and its bitwise check — kExact must match the
+  //    unsharded bytes exactly.
   {
     const std::size_t users = quick ? 60 : 150;
     const std::size_t tasks = quick ? 320 : 960;
@@ -494,9 +576,8 @@ std::vector<Kernel> make_kernels(bool quick) {
       const auto fit = eta2::truth::sharded_estimate(
           mle, *data, *domain, domains, *plan,
           eta2::truth::ShardingTier::kExact);
-      eta2::alloc::MaxQualityAllocator::Options options;
-      const auto allocation = eta2::alloc::sharded_max_quality_allocate(
-          *problem, options, plan->tasks);
+      const auto allocation =
+          eta2::alloc::MaxQualityAllocator().allocate(*problem);
       return signature_of(fit, *problem, allocation);
     };
     const auto monolithic = [data, domain, domains, problem, signature_of]() {
@@ -578,11 +659,16 @@ void appendf(std::string& out, const char* fmt, ...) {
 // two on containerized runners), and `parallel_threads_effective` is the
 // lane count the pool actually granted for the requested
 // `parallel_threads`. CI's speedup gate keys off the effective numbers.
+// `nproc` is the processor count available to this process (its affinity
+// mask), and `git_sha` the commit the binary was built from, as passed by
+// --git-sha (`unknown` when omitted).
 struct MachineInfo {
   unsigned hardware_at_start = 0;
   unsigned hardware_effective = 0;
+  long nproc = 0;
   std::size_t threads_requested = 0;
   std::size_t threads_effective = 0;
+  std::string git_sha;
 };
 
 void write_json(const std::string& path, const MachineInfo& machine,
@@ -597,11 +683,13 @@ void write_json(const std::string& path, const MachineInfo& machine,
           machine.hardware_at_start);
   appendf(out, "    \"hardware_concurrency\": %u,\n",
           machine.hardware_effective);
+  appendf(out, "    \"nproc\": %ld,\n", machine.nproc);
   appendf(out, "    \"eta2_threads_env\": \"%s\",\n",
           env_threads ? env_threads : "");
   appendf(out, "    \"parallel_threads\": %zu,\n", machine.threads_requested);
   appendf(out, "    \"parallel_threads_effective\": %zu,\n",
           machine.threads_effective);
+  appendf(out, "    \"git_sha\": \"%s\",\n", machine.git_sha.c_str());
   appendf(out, "    \"compiler\": \"%s\",\n", __VERSION__);
   appendf(out, "    \"build\": \"%s\"\n",
 #ifdef NDEBUG
@@ -651,8 +739,14 @@ int run_smoke(int argc, char** argv) {
   const std::string out_path =
       flags.get("out", "BENCH_core.json");
   MachineInfo machine;
+  machine.git_sha = flags.get("git-sha", "unknown");
   // Raw probe, before the pool has ever been initialized.
   machine.hardware_at_start = std::thread::hardware_concurrency();
+  cpu_set_t affinity;
+  CPU_ZERO(&affinity);
+  machine.nproc = sched_getaffinity(0, sizeof(affinity), &affinity) == 0
+                      ? CPU_COUNT(&affinity)
+                      : -1;
   // Parallel lane count: --threads, else the runtime default; a 1-core box
   // still records an (oversubscribed) 8-lane column so the trajectory
   // always has both sides.
@@ -673,10 +767,11 @@ int run_smoke(int argc, char** argv) {
 
   std::printf("=== perf_smoke ===\n");
   std::printf(
-      "hardware_concurrency: %u raw / %u effective, parallel lanes: %zu "
-      "requested / %zu effective, reps: %d%s\n\n",
-      machine.hardware_at_start, machine.hardware_effective, parallel_threads,
-      machine.threads_effective, reps, quick ? ", --quick" : "");
+      "hardware_concurrency: %u raw / %u effective, nproc: %ld, parallel "
+      "lanes: %zu requested / %zu effective, reps: %d%s\n\n",
+      machine.hardware_at_start, machine.hardware_effective, machine.nproc,
+      parallel_threads, machine.threads_effective, reps,
+      quick ? ", --quick" : "");
 
   std::vector<KernelTiming> timings;
   for (Kernel& kernel : make_kernels(quick)) {

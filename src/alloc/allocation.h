@@ -16,19 +16,28 @@ using TaskId = std::size_t;
 
 // One allocation round's inputs.
 //
-// `expertise(i, j)` is u_ij: user i's (estimated) expertise in task j's
-// domain — the allocator does not care about domains directly, the caller
-// expands domain expertise into per-task columns. The matrix is a single
-// contiguous row-major buffer (the step data plane), so allocators can scan
-// rows and the full n·m cell range without pointer chasing.
+// The expertise plane is keyed by task class: `expertise(i, class_of(j))` is
+// u_ij, user i's (estimated) expertise in task j's domain. Eq. 11 makes p_ij
+// a function of (user, domain) only, so tasks sharing a domain share one
+// column and the allocators evaluate Φ and sort candidates once per class
+// (DESIGN.md §11). An empty `task_class` makes every task its own class
+// (n x m, one column per task). The matrix is a single contiguous
+// row-major buffer (the step data plane).
 struct AllocationProblem {
-  Matrix expertise;                            // n x m, u_ij >= 0
+  Matrix expertise;                            // n x K, u >= 0
   std::vector<double> task_time;               // t_j > 0, per task
   std::vector<double> user_capacity;           // T_i >= 0, per user
   std::vector<double> task_cost;               // c_j >= 0; empty => all 1.0
+  std::vector<std::size_t> task_class;         // per task, < K; empty => j
 
   [[nodiscard]] std::size_t user_count() const { return expertise.rows(); }
   [[nodiscard]] std::size_t task_count() const { return task_time.size(); }
+  [[nodiscard]] std::size_t class_count() const {
+    return task_class.empty() ? task_count() : expertise.cols();
+  }
+  [[nodiscard]] std::size_t class_of(TaskId j) const {
+    return task_class.empty() ? j : task_class[j];
+  }
   [[nodiscard]] double cost_of(TaskId j) const {
     return task_cost.empty() ? 1.0 : task_cost[j];
   }

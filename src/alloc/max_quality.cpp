@@ -13,7 +13,7 @@
 namespace eta2::alloc {
 namespace {
 
-// Working state shared by both greedy engines: the p_ij matrix, remaining
+// Working state shared by both greedy engines: the p matrix, remaining
 // per-user capacity, and each task's miss probability Π(1 − p_ij).
 class GreedyCore {
  public:
@@ -22,19 +22,21 @@ class GreedyCore {
       : problem_(problem),
         options_(options),
         allocation_(allocation),
-        m_(problem.task_count()) {
+        k_(problem.class_count()) {
     const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
-    // p_ij matrix: one contiguous row-major buffer (cache-friendly for the
-    // per-task column scans below); cells are independent, so the build
-    // fans out over the parallel runtime. Each chunk goes through the
-    // batched Φ kernel, which hoists argument validation to once per chunk
-    // instead of two require()s per cell.
-    p_.assign(n * m, 0.0);
+    class_.resize(m);
+    for (TaskId j = 0; j < m; ++j) class_[j] = problem.class_of(j);
+    // p matrix over users × task classes: one contiguous row-major buffer;
+    // p_ij = p_[i·K + class(j)] because Eq. 11 depends on the task only
+    // through its domain, so Φ runs n·K times instead of n·m. Cells are
+    // independent, so the build fans out over the parallel runtime, each
+    // chunk through the batched Φ kernel (validation hoisted per chunk).
+    p_.assign(n * k_, 0.0);
     const std::span<const double> expertise = problem.expertise.data();
     const std::span<double> p_span{p_};
     parallel::parallel_for_chunks(
-        n * m, 4096, [&](std::size_t begin, std::size_t end) {
+        n * k_, 4096, [&](std::size_t begin, std::size_t end) {
           stats::accuracy_probability_batch(
               expertise.subspan(begin, end - begin), options_.epsilon,
               p_span.subspan(begin, end - begin), options_.fast_math);
@@ -66,13 +68,16 @@ class GreedyCore {
   }
 
  protected:
-  [[nodiscard]] double p(UserId i, TaskId j) const { return p_[i * m_ + j]; }
+  [[nodiscard]] double p(UserId i, TaskId j) const {
+    return p_[i * k_ + class_[j]];
+  }
 
   const AllocationProblem& problem_;
   const GreedyOptions& options_;
   const Allocation& allocation_;
-  std::size_t m_;          // task count (row stride of p_)
-  std::vector<double> p_;  // row-major n × m accuracy probabilities
+  std::size_t k_;                   // class count (row stride of p_)
+  std::vector<std::size_t> class_;  // task -> class
+  std::vector<double> p_;           // row-major n × K accuracy probabilities
   std::vector<double> remaining_;
   std::vector<double> miss_;
 };
@@ -163,7 +168,10 @@ class RescanGreedy : public GreedyCore {
 // positive factor miss_[j](/t_j), so the per-task argmax is found without a
 // scan: users are pre-sorted by (p_ij desc, index asc) and a cursor skips
 // entries that became infeasible — permanently, because infeasibility is
-// monotone. A task refresh is then O(1) amortized instead of O(n).
+// monotone. A task refresh is then O(1) amortized instead of O(n). The sort
+// key depends on the task only through its class, so one order per class
+// serves every task of that class (K sorts, not m); cursors stay per task
+// because feasibility (capacity vs t_j, prior assignment) is per task.
 class LazyGreedy : public GreedyCore {
  public:
   LazyGreedy(const AllocationProblem& problem, const GreedyOptions& options,
@@ -171,14 +179,15 @@ class LazyGreedy : public GreedyCore {
       : GreedyCore(problem, options, allocation), stats_(stats) {
     const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
-    order_.resize(n * m);
+    order_.resize(n * k_);
     cursor_.assign(m, 0);
-    parallel::parallel_for(m, 16, [&](std::size_t j) {
-      UserId* ord = order_.data() + j * n;
+    parallel::parallel_for(k_, 16, [&](std::size_t k) {
+      UserId* ord = order_.data() + k * n;
+      const double* pk = p_.data() + k;
       std::iota(ord, ord + n, UserId{0});
       std::sort(ord, ord + n, [&](UserId a, UserId b) {
-        const double pa = p(a, j);
-        const double pb = p(b, j);
+        const double pa = pk[a * k_];
+        const double pb = pk[b * k_];
         if (pa != pb) return pa > pb;
         return a < b;  // ties: ascending index, matching the rescan order
       });
@@ -266,7 +275,7 @@ class LazyGreedy : public GreedyCore {
   [[nodiscard]] double refresh_gain(TaskId j) {
     const std::size_t n = problem_.user_count();
     const double task_time = problem_.task_time[j];
-    const UserId* ord = order_.data() + j * n;
+    const UserId* ord = order_.data() + class_[j] * n;
     std::size_t& cur = cursor_[j];
     while (cur < n && !feasible(ord[cur], j)) ++cur;
     if (cur == n) {
@@ -300,7 +309,7 @@ class LazyGreedy : public GreedyCore {
   }
 
   GreedyStats& stats_;
-  std::vector<UserId> order_;        // per-task users, (p desc, index asc)
+  std::vector<UserId> order_;        // per-class users, (p desc, index asc)
   std::vector<std::size_t> cursor_;  // first possibly-feasible order_ entry
   std::vector<double> bound_;        // current upper bound per task
   std::vector<std::size_t> stamp_;   // version bound_[j] was evaluated under

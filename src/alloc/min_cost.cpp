@@ -1,6 +1,8 @@
 #include "alloc/min_cost.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -54,10 +56,22 @@ MinCostAllocator::Result MinCostAllocator::run(
   }
 
   // Tasks whose quality requirement is already met are excluded from
-  // further recruiting (their expertise column is zeroed, so the greedy's
-  // efficiency for them is 0): paying for extra observers on a passing
-  // task can only waste budget that a failing task needs.
-  AllocationProblem working = problem;
+  // further recruiting: they move to one appended all-zero class, so the
+  // greedy's efficiency for them is 0 — paying for extra observers on a
+  // passing task can only waste budget that a failing task needs. The
+  // other tasks keep their classes, so a class-keyed plane stays n x (K+1).
+  const std::size_t passed_class = problem.class_count();
+  AllocationProblem working;
+  working.expertise.assign(n, passed_class + 1, 0.0);
+  for (UserId i = 0; i < n; ++i) {
+    const std::span<const double> from = problem.expertise.row(i);
+    std::copy(from.begin(), from.end(), working.expertise.row(i).begin());
+  }
+  working.task_time = problem.task_time;
+  working.user_capacity = problem.user_capacity;
+  working.task_cost = problem.task_cost;
+  working.task_class.resize(m);
+  for (TaskId j = 0; j < m; ++j) working.task_class[j] = problem.class_of(j);
   std::vector<bool> task_passed(m, false);
   std::vector<bool> asked(n * m, false);
 
@@ -118,7 +132,7 @@ MinCostAllocator::Result MinCostAllocator::run(
       ETA2_ASSERT(std::isfinite(info[j]) && info[j] >= 0.0);
       if (info[j] > required_info) {
         task_passed[j] = true;
-        for (UserId i = 0; i < n; ++i) working.expertise(i, j) = 0.0;
+        working.task_class[j] = passed_class;
       } else {
         pass = false;
       }

@@ -1,5 +1,6 @@
 #include "core/eta2_server.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -88,8 +89,8 @@ Eta2Server Eta2Server::load(std::istream& in, Eta2Config config,
     } else if (trailer == "trust-ledger") {
       require(server.trust_.has_value(),
               "Eta2Server::load: trust-ledger trailer without defenses on");
-      std::string version;
-      require(static_cast<bool>(in >> version) && version == "v1",
+      std::string ledger_version;
+      require(static_cast<bool>(in >> ledger_version) && ledger_version == "v1",
               "Eta2Server::load: bad trust-ledger version");
       truth::TrustLedger ledger =
           truth::TrustLedger::load_body(in, server.config_.trust);
@@ -171,14 +172,24 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
   cancellation_point();
 
   // --- Domain-sharded execution view (DESIGN.md §12): built once the
-  // batch's domain labels are final; the truth and allocation stages run
-  // shard-parallel against this plan and merge deterministically. ---
+  // batch's domain labels are final; the truth stage runs shard-parallel
+  // against this plan and merges deterministically. ---
   ctx.sharded.partition(ctx.task_domains, ctx.domain_count, config_);
   ctx.health.shard_count =
       ctx.sharded.active() ? ctx.sharded.plan().shard_count() : 0;
 
-  // --- Contiguous allocation plane shared by all strategies. ---
+  // --- Contiguous allocation plane shared by all strategies, keyed by
+  // domain class (DESIGN.md §11): one column per distinct domain of the
+  // batch, ascending, so Φ and the candidate sorts run per domain. ---
   alloc::AllocationProblem& problem = ctx.problem;
+  std::vector<truth::DomainIndex> classes(ctx.task_domains);
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  problem.task_class.reserve(m);
+  for (const truth::DomainIndex d : ctx.task_domains) {
+    problem.task_class.push_back(static_cast<std::size_t>(
+        std::lower_bound(classes.begin(), classes.end(), d) - classes.begin()));
+  }
   problem.task_time.reserve(m);
   problem.task_cost.reserve(m);
   for (const NewTask& t : tasks) {
@@ -187,10 +198,11 @@ Eta2Server::StepResult Eta2Server::step(std::span<const NewTask> tasks,
     problem.task_cost.push_back(t.cost);
   }
   problem.user_capacity.assign(user_capacity.begin(), user_capacity.end());
-  store_.fill_task_expertise(ctx.task_domains, problem.expertise);
+  store_.fill_task_expertise(classes, problem.expertise);
   // Trust-discounted allocation (DESIGN.md §14): low-trust and quarantined
   // identities see their expertise plane scaled down before any strategy
-  // runs, so attackers cannot capture budget while under suspicion.
+  // runs, so attackers cannot capture budget while under suspicion. The
+  // discount scales whole rows, so it is the same on either plane layout.
   if (trust_) trust_->discount_expertise(problem.expertise);
 
   // --- Modules 3 + 2 through the configured stage pair. ---

@@ -36,17 +36,8 @@ class DomainIdentifier {
 // observations themselves while allocating (min-cost's incremental
 // Algorithm 2 loop) also fill ctx.observations / ctx.data_iterations and
 // return true from collects_observations(), which makes the composer skip
-// the shared collection pass.
-//
-// Shard contract (DESIGN.md §12): when ctx.sharded.active(), a strategy MAY
-// run shard-parallel against ctx.sharded.plan() — one dispatch per shard
-// with fixed boundaries, merging in domain-index order so the result is
-// identical at any thread count (bit-identical under ShardingTier::kExact).
-// Inside a shard-dispatched body, only shard-local state and the stage's
-// explicitly shared, disjointly indexed buffers may be written; mutating
-// other StepContext members from a shard body is a contract violation
-// (flagged by eta2_lint rule 9, shard-shared-mutation). Strategies without
-// a sharded implementation simply ignore the view.
+// the shared collection pass. Allocation is not sharded (DESIGN.md §12):
+// strategies ignore ctx.sharded.
 class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;
@@ -59,10 +50,16 @@ class AllocationStrategy {
 // ctx.mle_iterations and commits the step's expertise contributions into
 // ctx.store.
 //
-// Shard contract: same as AllocationStrategy — when ctx.sharded.active(),
-// updaters may fan Eq. 5/6 sweeps out per shard (truth::sharded_estimate /
-// sharded_dynamic_update) and must fold results back serially in
-// domain-index order; ctx.store commits stay on the serial merge path.
+// Shard contract (DESIGN.md §12): when ctx.sharded.active(), updaters may
+// fan Eq. 5/6 sweeps out per shard (truth::sharded_estimate /
+// sharded_dynamic_update) — one dispatch per shard with fixed boundaries —
+// and must fold results back serially in domain-index order, so the result
+// is identical at any thread count (bit-identical under
+// ShardingTier::kExact); ctx.store commits stay on the serial merge path.
+// Inside a shard-dispatched body, only shard-local state and the stage's
+// explicitly shared, disjointly indexed buffers may be written; mutating
+// other StepContext members from a shard body is a contract violation
+// (flagged by eta2_lint rule 9, shard-shared-mutation).
 class TruthUpdater {
  public:
   virtual ~TruthUpdater() = default;

@@ -55,14 +55,14 @@ std::vector<std::vector<double>> ExpertiseStore::snapshot() const {
 }
 
 void ExpertiseStore::fill_task_expertise(
-    std::span<const DomainIndex> task_domain, Matrix& out) const {
+    std::span<const DomainIndex> column_domain, Matrix& out) const {
   const std::size_t n = user_count();
-  const std::size_t m = task_domain.size();
-  out.assign(n, m);
+  const std::size_t cols = column_domain.size();
+  out.assign(n, cols);
   for (UserId i = 0; i < n; ++i) {
     const std::span<double> row = out.row(i);
-    for (std::size_t j = 0; j < m; ++j) {
-      row[j] = expertise(i, task_domain[j]);
+    for (std::size_t c = 0; c < cols; ++c) {
+      row[c] = expertise(i, column_domain[c]);
     }
   }
 }

@@ -55,10 +55,12 @@ class ExpertiseStore {
   // Full matrix snapshot [user][domain] — the MLE warm start.
   [[nodiscard]] std::vector<std::vector<double>> snapshot() const;
 
-  // Expands domain expertise into per-task columns: out(i, j) =
-  // expertise(i, task_domain[j]), reshaping `out` to user_count x |tasks|.
-  // This is the contiguous expertise plane the allocators consume.
-  void fill_task_expertise(std::span<const DomainIndex> task_domain,
+  // Fills the contiguous expertise plane the allocators consume, one column
+  // per entry: out(i, c) = expertise(i, column_domain[c]), reshaping `out`
+  // to user_count x |column_domain|. Pass each task's domain for per-task
+  // columns, or a batch's distinct domains for the class-keyed plane
+  // (alloc::AllocationProblem::task_class).
+  void fill_task_expertise(std::span<const DomainIndex> column_domain,
                            Matrix& out) const;
 
   // The `k` users with the highest expertise in `domain` (ties broken by

@@ -364,8 +364,7 @@ TrustStepReport TrustLedger::end_step(const ObservationSet& raw,
   for (const auto& [key, stat] : pairs_) {
     if (stat.co_wrong >= options_.min_co_wrong &&
         stat.co_wrong >= options_.co_wrong_ratio * stat.co_observed) {
-      uf.unite(static_cast<std::size_t>(key >> 32),
-               static_cast<std::size_t>(key & 0xffffffffULL));
+      uf.unite(key >> 32, key & 0xffffffffULL);
     }
   }
   std::vector<std::size_t> component_size(m2_.size(), 0);

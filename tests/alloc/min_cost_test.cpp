@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/normal.h"
@@ -202,6 +204,39 @@ TEST(MinCostTest, CostCapBoundsPerIterationSpending) {
   // One iteration: spending stops once the cap is reached, so at most
   // cap (+1 pair of unit cost, since the check precedes each selection).
   EXPECT_LE(result.allocation.total_cost(), 8.0);
+}
+
+TEST(MinCostTest, PassedTasksStopRecruiting) {
+  // Task 0's users are experts (p ≈ 0.24), task 1's are not (p ≈ 0.02).
+  // With a near-trivial requirement every observed task passes after one
+  // report. Excluding passed tasks sends round 2 to task 1; without the
+  // exclusion the greedy would keep adding experts to task 0, whose
+  // remaining gain (≈ 0.18) still beats task 1's. Checked on the per-task
+  // plane and on the class-keyed plane (one column per domain).
+  AllocationProblem per_task;
+  per_task.expertise = Matrix{{3.0, 0.3}, {3.0, 0.3}, {3.0, 0.3}, {3.0, 0.3}};
+  per_task.task_time.assign(2, 1.0);
+  per_task.user_capacity.assign(4, 10.0);
+  AllocationProblem keyed = per_task;
+  keyed.task_class = {0, 1};
+  const std::vector<truth::DomainIndex> domain = {0, 1};
+  MinCostAllocator::Options options;
+  options.cost_per_iteration = 1.0;
+  options.epsilon_bar = 100.0;
+  options.max_data_iterations = 10;
+  const MinCostAllocator allocator(options);
+  const truth::Eta2Mle mle;
+  for (const AllocationProblem* problem : {&per_task, &keyed}) {
+    const auto result = allocator.run(
+        *problem, domain, 2, {}, mle,
+        [](std::size_t j, std::size_t i) -> std::optional<double> {
+          return 10.0 + static_cast<double>(j) + 0.1 * static_cast<double>(i);
+        });
+    EXPECT_TRUE(result.quality_met);
+    EXPECT_EQ(result.data_iterations, 2);
+    EXPECT_EQ(result.allocation.users_of(0).size(), 1u);
+    EXPECT_EQ(result.allocation.users_of(1).size(), 1u);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
+#include "alloc/max_quality.h"
+#include "common/matrix.h"
 #include "text/embedder.h"
 
 namespace eta2::core {
@@ -185,6 +190,78 @@ TEST(Eta2ServerTest, MinCostModeReportsDataIterations) {
   EXPECT_FALSE(r.warmup);
   EXPECT_GE(r.data_iterations, 1);
   EXPECT_GT(r.cost, 0.0);
+}
+
+TEST(Eta2ServerTest, ClassKeyedAllocationReplaysOnExpandedPlane) {
+  // The server allocates on the class-keyed plane (one column per distinct
+  // domain of the batch). Replaying each step on the per-task plane —
+  // fill_task_expertise over every task's domain, then the trust discount,
+  // then MaxQualityAllocator — must reproduce its allocation exactly. Many
+  // tasks over few domains, with a colluding minority, so the kTrimmedV1
+  // discount scales real rows by the time the replays run.
+  const std::size_t n = 30;
+  const std::size_t sybils = 6;
+  Eta2Config config;
+  config.trust.tier = truth::DefenseTier::kTrimmedV1;
+  std::optional<truth::ExpertiseStore> store_at_alloc;
+  std::optional<truth::TrustLedger> ledger_at_alloc;
+  const Eta2Server* running = nullptr;
+  int boundary = 0;
+  config.step_watchdog = [&] {
+    // Boundary 2 of a step falls after identification, right before the
+    // allocation plane is filled.
+    if (++boundary != 2) return;
+    store_at_alloc.emplace(running->expertise_store());
+    ledger_at_alloc.emplace(*running->trust_ledger());
+  };
+  Eta2Server server(n, config, nullptr);
+  running = &server;
+
+  Rng rng(21);
+  Rng world(22);
+  const std::vector<double> caps(n, 8.0);
+  bool discounted = false;
+  for (int step = 0; step < 6; ++step) {
+    std::vector<std::size_t> domains(40);
+    for (std::size_t& d : domains) {
+      d = static_cast<std::size_t>(world.uniform_int(0, 2));
+    }
+    const auto tasks = labeled_tasks(domains);
+    std::vector<double> mu(tasks.size());
+    for (double& v : mu) v = world.uniform(0.0, 20.0);
+    const CollectFn collect = [&](std::size_t j, std::size_t i) {
+      return i < sybils ? mu[j] + 8.0 : world.normal(mu[j], 1.0);
+    };
+    boundary = 0;
+    const auto result = server.step(tasks, caps, collect, rng);
+    if (result.warmup) continue;
+
+    alloc::AllocationProblem expanded;
+    store_at_alloc->fill_task_expertise(result.task_domains,
+                                        expanded.expertise);
+    const Matrix undiscounted = expanded.expertise;
+    ledger_at_alloc->discount_expertise(expanded.expertise);
+    const auto before = undiscounted.data();
+    const auto after = expanded.expertise.data();
+    discounted = discounted ||
+                 !std::equal(before.begin(), before.end(), after.begin());
+    expanded.task_time.assign(tasks.size(), 1.0);
+    expanded.task_cost.assign(tasks.size(), 1.0);
+    expanded.user_capacity = caps;
+    const alloc::Allocation replayed =
+        alloc::MaxQualityAllocator({config.epsilon, config.half_approx_pass})
+            .allocate(expanded);
+    ASSERT_EQ(replayed.pair_count(), result.allocation.pair_count())
+        << "step " << step;
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      const auto want = replayed.users_of(j);
+      const auto got = result.allocation.users_of(j);
+      ASSERT_EQ(std::vector<std::size_t>(want.begin(), want.end()),
+                std::vector<std::size_t>(got.begin(), got.end()))
+          << "step " << step << " task " << j;
+    }
+  }
+  EXPECT_TRUE(discounted) << "sybil rows were never discounted";
 }
 
 TEST(Eta2ServerTest, CapacitySizeMismatchThrows) {
