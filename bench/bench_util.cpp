@@ -1,5 +1,7 @@
 #include "bench_util.h"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -81,9 +83,11 @@ namespace {
 
 // Serializes one curve as a single JSON line (no trailing comma) — the
 // unit of the merge in write_robustness_json.
-std::string curve_line(const RobustnessCurve& curve) {
+std::string curve_line(const RobustnessCurve& curve,
+                       const std::string& provenance) {
   std::string line = "    {\"name\": \"" + curve.name + "\", \"x_label\": \"" +
-                     curve.x_label + "\", \"points\": [";
+                     curve.x_label + "\", \"provenance\": " + provenance +
+                     ", \"points\": [";
   char buffer[64];
   for (std::size_t i = 0; i < curve.x.size(); ++i) {
     std::snprintf(buffer, sizeof(buffer), "%s[%.6g, %.6g]", i > 0 ? ", " : "",
@@ -94,10 +98,26 @@ std::string curve_line(const RobustnessCurve& curve) {
   return line;
 }
 
+std::string provenance_json(std::string_view bench, const BenchEnv& env) {
+  cpu_set_t affinity;
+  CPU_ZERO(&affinity);
+  const int nproc = sched_getaffinity(0, sizeof(affinity), &affinity) == 0
+                        ? CPU_COUNT(&affinity)
+                        : -1;
+  // Seeds run from 1: the robustness benches call sim::sweep_seeds with its
+  // default base seed.
+  return "{\"bench\": \"" + std::string(bench) + "\", \"mode\": \"" +
+         (env.quick ? "quick" : "full") + "\", \"seeds\": " +
+         std::to_string(env.seeds) + ", \"base_seed\": 1, \"reps\": 1, " +
+         "\"nproc\": " + std::to_string(nproc) + ", \"git_sha\": \"" +
+         env.flags.get("git-sha", "unknown") + "\"}";
+}
+
 }  // namespace
 
 void write_robustness_json(const std::string& path,
-                           const std::vector<RobustnessCurve>& curves) {
+                           const std::vector<RobustnessCurve>& curves,
+                           std::string_view bench, const BenchEnv& env) {
   // Keep curve lines already in the file unless this run re-emits them.
   std::vector<std::string> lines;
   {
@@ -116,7 +136,10 @@ void write_robustness_json(const std::string& path,
       if (!replaced) lines.push_back(line);
     }
   }
-  for (const RobustnessCurve& c : curves) lines.push_back(curve_line(c));
+  const std::string provenance = provenance_json(bench, env);
+  for (const RobustnessCurve& c : curves) {
+    lines.push_back(curve_line(c, provenance));
+  }
 
   std::string payload = "{\n  \"bench\": \"robustness\",\n  \"curves\": [\n";
   for (std::size_t i = 0; i < lines.size(); ++i) {

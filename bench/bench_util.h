@@ -66,9 +66,15 @@ struct RobustnessCurve {
 // Writes/merges degradation curves into BENCH_robustness.json. Each curve
 // is one JSON line keyed by `name`; existing curves from OTHER benches are
 // kept, same-name curves are replaced — so the dropout and adversarial
-// benches accumulate into one file regardless of run order.
+// benches accumulate into one file regardless of run order. Every line
+// carries the provenance of the run that wrote it: the bench binary, the
+// mode (quick or full), the seed count and base seed, reps (runs per seed
+// and cell: 1, the simulation is deterministic), the processors available
+// to the process, and the commit passed as --git-sha (`unknown` when
+// omitted).
 void write_robustness_json(const std::string& path,
-                           const std::vector<RobustnessCurve>& curves);
+                           const std::vector<RobustnessCurve>& curves,
+                           std::string_view bench, const BenchEnv& env);
 
 }  // namespace eta2::bench
 

@@ -19,10 +19,15 @@
 //               with the step index (competence decay).
 //
 // Each (attack, tier) pair appends one degradation curve to
-// BENCH_robustness.json, named "attack:<kind>:<off|trimmed_v1>". The CI
-// gate: at the strongest clique attack, defenses-on must beat defenses-off
-// strictly — exit 1 otherwise (a defense that does not defend is a broken
-// build, not a shrug).
+// BENCH_robustness.json, named "attack:<kind>:<off|trimmed_v1>", with the
+// run's provenance (quick or full mode, seeds, reps, nproc, and the commit
+// given as --git-sha). The committed file is a quick-mode run at one seed:
+//
+//   ext_adversarial_attacks --quick --seeds=1 --git-sha="$(git rev-parse HEAD)"
+//
+// The CI gate: at the strongest clique attack, defenses-on must beat
+// defenses-off strictly — exit 1 otherwise (a defense that does not defend
+// is a broken build, not a shrug).
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -127,11 +132,12 @@ int main(int argc, char** argv) {
 
   std::printf("expected shape: under kOff the clique attack degrades "
               "superlinearly (the colluders earn expertise for agreeing "
-              "with the truth they corrupted); kTrimmedV1 quarantines the "
-              "clique within a step or two and holds near the clean-data "
-              "error.\n");
+              "with the truth they corrupted); kTrimmedV1 lowers the "
+              "strongest-clique error but costs accuracy on clean data and "
+              "under most other attacks (EXPERIMENTS.md).\n");
   eta2::bench::write_robustness_json(
-      env.flags.get("out", "BENCH_robustness.json"), curves);
+      env.flags.get("out", "BENCH_robustness.json"), curves,
+      "ext_adversarial_attacks", env);
 
   // The domination gate CI runs in quick mode: a defense tier that does
   // not strictly beat the undefended pipeline under the baseline clique

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
               "fabricator fraction; ETA2 (and to a lesser degree the EM and "
               "median baselines) stay close to their clean-data error.\n");
   eta2::bench::write_robustness_json(
-      env.flags.get("out", "BENCH_robustness.json"), curves);
+      env.flags.get("out", "BENCH_robustness.json"), curves,
+      "ext_adversarial_robustness", env);
   return 0;
 }

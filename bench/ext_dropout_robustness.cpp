@@ -43,6 +43,6 @@ int main(int argc, char** argv) {
               "thin out; ETA2 keeps its lead at every response rate.\n");
   eta2::bench::write_robustness_json(
       env.flags.get("out", "BENCH_robustness.json"),
-      {eta2_curve, base_curve});
+      {eta2_curve, base_curve}, "ext_dropout_robustness", env);
   return 0;
 }

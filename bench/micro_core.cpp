@@ -2,9 +2,9 @@
 //
 // Default mode times each core kernel — pairwise distance matrix, one MLE
 // sweep, the max-quality greedy (per-task and class-keyed planes), a batched
-// Φ evaluation, and one full simulation run — serial vs. the parallel
-// runtime, verifies the outputs are
-// bit-identical, and writes BENCH_core.json (median-of-reps ns/op, speedup,
+// Φ evaluation, one dynamic-clustering round and one full simulation run —
+// serial vs. the parallel runtime, verifies the outputs are bit-identical,
+// and writes BENCH_core.json (median-of-reps ns/op, speedup,
 // machine info). Kernels with a rewritten hot path also record before/after
 // columns (naive vs blocked distances, rescan vs CELF, scalar vs batched Φ)
 // and the greedy's gain-evaluation counters, so the asymptotic wins are
@@ -609,7 +609,60 @@ std::vector<Kernel> make_kernels(bool quick) {
         }});
   }
 
-  // 6. One full simulation run (pre-known-domain synthetic dataset; the
+  // 6. One dynamic-clustering round (paper §3.3.2) at the late
+  //    campaign_described shape: 150 new tasks against a history of 3000,
+  //    64-dim vectors shaped like pair-word semantic vectors (a query and a
+  //    target block drawn around one of 10 topic pairs). Each rep copies the
+  //    prebuilt clusterer and runs one add_tasks round on the copy.
+  {
+    const std::size_t history = 3000;
+    const std::size_t batch = 150;
+    const std::size_t dim = 64;
+    const std::size_t topics = 10;
+    Rng rng(23);
+    std::vector<eta2::text::Embedding> centers(topics,
+                                               eta2::text::Embedding(dim));
+    for (auto& center : centers) {
+      for (double& x : center) x = rng.normal();
+    }
+    const auto draw = [&rng, &centers, topics](std::size_t count) {
+      std::vector<eta2::text::Embedding> vectors;
+      vectors.reserve(count);
+      for (std::size_t t = 0; t < count; ++t) {
+        const auto& center = centers[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(topics) - 1))];
+        eta2::text::Embedding v(center.size());
+        for (std::size_t k = 0; k < v.size(); ++k) {
+          v[k] = center[k] + 0.35 * rng.normal();
+        }
+        vectors.push_back(std::move(v));
+      }
+      return vectors;
+    };
+    auto warm = std::make_shared<eta2::clustering::DynamicClusterer>(0.5);
+    for (std::size_t added = 0; added < history; added += batch) {
+      (void)warm->add_tasks(draw(batch));
+    }
+    auto round = std::make_shared<std::vector<eta2::text::Embedding>>(
+        draw(batch));
+    kernels.push_back(Kernel{
+        "cluster_round", history, [warm, round]() {
+          eta2::clustering::DynamicClusterer clusterer = *warm;
+          const auto update = clusterer.add_tasks(*round);
+          std::vector<double> signature{clusterer.dstar()};
+          for (const auto d : update.assignments) signature.push_back(d);
+          for (const auto d : update.new_domains) signature.push_back(d);
+          for (const auto& m : update.merges) {
+            signature.push_back(m.kept);
+            signature.push_back(m.absorbed);
+          }
+          for (const auto d : clusterer.live_domains()) signature.push_back(d);
+          return signature;
+        },
+        {}});
+  }
+
+  // 7. One full simulation run (pre-known-domain synthetic dataset; the
   //    multi-day loop exercises MLE + greedy together).
   {
     const std::size_t tasks = quick ? 150 : 400;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <istream>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
 
 #include "clustering/linkage.h"
@@ -48,18 +46,97 @@ std::vector<double> flatten_points(std::span<const text::Embedding> points,
   return flat;
 }
 
-// Tile edge for the blocked pairwise fill: a 32-row block of 64-dim
-// embeddings is 16 KiB, so the j-block stays L1-resident while every row of
-// the i-block sweeps it (DESIGN.md §11).
+// Tile edges for the blocked distance pass: a 32-row block of 64-dim
+// embeddings is 16 KiB, so a history tile stays L1-resident while the 16
+// batch rows of a row block sweep it (DESIGN.md §11). Row blocks are the
+// unit of parallel work.
 constexpr std::size_t kDistanceBlock = 32;
+constexpr std::size_t kRowBlock = 16;
+// Rows per batch_pass call when load() rebuilds the domain sums: bounds the
+// pass's slot-sum buffer at kRebuildBlock × K doubles.
+constexpr std::size_t kRebuildBlock = 256;
+
+// Position of a live domain id in the ascending live list (its slot).
+std::size_t slot_of(const std::vector<DomainId>& live, DomainId id) {
+  return static_cast<std::size_t>(
+      std::lower_bound(live.begin(), live.end(), id) - live.begin());
+}
+
+// Result of one pass over every pair that involves a batch of B rows.
+struct BatchPass {
+  // B × K: slot_sums[t·K + k] = Σ d(t, q) over the history rows q in slot k,
+  // added in ascending q.
+  std::vector<double> slot_sums;
+  // Distances between batch rows (lower triangle).
+  SymmetricMatrix batch_dist{0};
+  // Largest distance over all the pairs above (0 when there are none).
+  double max_distance = 0.0;
+};
+
+// Compares each batch row with every history row, in ascending order, and
+// with every earlier batch row. Each row block writes only its own rows of
+// slot_sums and batch_dist, and every cell is a pure function of its rows
+// and the ascending visit order, so the result is bit-identical at any
+// thread count. Inputs are validated by the callers.
+BatchPass batch_pass(const double* history,
+                     std::span<const std::size_t> history_slot,
+                     std::size_t slots, const double* batch,
+                     std::size_t batch_count, std::size_t dim) {
+  BatchPass pass;
+  pass.slot_sums.assign(batch_count * slots, 0.0);
+  pass.batch_dist = SymmetricMatrix(batch_count);
+  const std::size_t history_count = history_slot.size();
+  const std::size_t row_blocks = (batch_count + kRowBlock - 1) / kRowBlock;
+  pass.max_distance = parallel::parallel_reduce(
+      row_blocks, 1, 0.0,
+      [&](std::size_t block_begin, std::size_t block_end) {
+        double local = 0.0;
+        for (std::size_t ib = block_begin; ib < block_end; ++ib) {
+          const std::size_t i_begin = ib * kRowBlock;
+          const std::size_t i_end = std::min(i_begin + kRowBlock, batch_count);
+          // History tiles in ascending order, so every slot sum adds its
+          // terms in ascending point order.
+          for (std::size_t j_begin = 0; j_begin < history_count;
+               j_begin += kDistanceBlock) {
+            const std::size_t j_end =
+                std::min(j_begin + kDistanceBlock, history_count);
+            for (std::size_t i = i_begin; i < i_end; ++i) {
+              const double* row = batch + i * dim;
+              double* sums = pass.slot_sums.data() + i * slots;
+              for (std::size_t j = j_begin; j < j_end; ++j) {
+                const double d =
+                    task_distance_rows(row, history + j * dim, dim);
+                sums[history_slot[j]] += d;
+                local = std::max(local, d);
+              }
+            }
+          }
+          for (std::size_t j_begin = 0; j_begin < i_end;
+               j_begin += kDistanceBlock) {
+            const std::size_t j_cap = std::min(j_begin + kDistanceBlock, i_end);
+            for (std::size_t i = i_begin; i < i_end; ++i) {
+              const double* row = batch + i * dim;
+              const std::size_t j_end = std::min(j_cap, i);
+              for (std::size_t j = j_begin; j < j_end; ++j) {
+                const double d = task_distance_rows(row, batch + j * dim, dim);
+                pass.batch_dist.set_unchecked(i, j, d);
+                local = std::max(local, d);
+              }
+            }
+          }
+        }
+        return local;
+      },
+      [](double a, double b) { return std::max(a, b); });
+  return pass;
+}
 
 }  // namespace
 
 SymmetricMatrix pairwise_task_distances(
     std::span<const text::Embedding> points) {
   const std::size_t n = points.size();
-  SymmetricMatrix dist(n);
-  if (n < 2) return dist;
+  if (n < 2) return SymmetricMatrix(n);
   // Hoisted validation: the same checks text::task_distance would apply to
   // every pair, performed once per call instead of n(n−1)/2 times inside
   // the parallel region.
@@ -70,28 +147,7 @@ SymmetricMatrix pairwise_task_distances(
   require(dim % 2 == 0,
           "pairwise_task_distances: expected concatenated [V_Q; V_T]");
   const std::vector<double> flat = flatten_points(points, dim);
-  // Cache-blocked lower triangle: i-blocks fan out over the parallel
-  // runtime (disjoint rows ⇒ disjoint writes), and within one i-block the
-  // j-block tile is reused by every row while it is still hot. Cell values
-  // are a pure function of (i, j), so the tiling order is free.
-  const std::size_t i_blocks = (n + kDistanceBlock - 1) / kDistanceBlock;
-  parallel::parallel_for(i_blocks, 1, [&](std::size_t ib) {
-    const std::size_t i_begin = ib * kDistanceBlock;
-    const std::size_t i_end = std::min(i_begin + kDistanceBlock, n);
-    for (std::size_t j_begin = 0; j_begin < i_end;
-         j_begin += kDistanceBlock) {
-      const std::size_t j_cap = std::min(j_begin + kDistanceBlock, i_end);
-      for (std::size_t i = i_begin; i < i_end; ++i) {
-        const double* row = flat.data() + i * dim;
-        const std::size_t j_end = std::min(j_cap, i);
-        for (std::size_t j = j_begin; j < j_end; ++j) {
-          dist.set_unchecked(
-              i, j, task_distance_rows(row, flat.data() + j * dim, dim));
-        }
-      }
-    }
-  });
-  return dist;
+  return batch_pass(nullptr, {}, 0, flat.data(), n, dim).batch_dist;
 }
 
 DynamicClusterer::DynamicClusterer(double gamma) : gamma_(gamma) {
@@ -102,14 +158,6 @@ DomainId DynamicClusterer::domain_of(std::size_t task_index) const {
   require(task_index < point_domain_.size(),
           "DynamicClusterer::domain_of: index out of range");
   return point_domain_[task_index];
-}
-
-void DynamicClusterer::rebuild_live_domains() {
-  live_domains_.assign(point_domain_.begin(), point_domain_.end());
-  std::sort(live_domains_.begin(), live_domains_.end());
-  live_domains_.erase(
-      std::unique(live_domains_.begin(), live_domains_.end()),
-      live_domains_.end());
 }
 
 void DynamicClusterer::save(std::ostream& out) const {
@@ -123,13 +171,13 @@ void DynamicClusterer::save(std::ostream& out) const {
   write_number(gamma_);
   out << ' ';
   write_number(dstar_);
-  out << ' ' << next_domain_ << ' ' << points_.size() << ' '
-      << (points_.empty() ? 0 : points_.front().size()) << '\n';
-  for (std::size_t p = 0; p < points_.size(); ++p) {
+  out << ' ' << next_domain_ << ' ' << task_count() << ' '
+      << (task_count() == 0 ? 0 : dim_) << '\n';
+  for (std::size_t p = 0; p < task_count(); ++p) {
     out << point_domain_[p];
-    for (const double v : points_[p]) {
+    for (std::size_t k = 0; k < dim_; ++k) {
       out << ' ';
-      write_number(v);
+      write_number(points_[p * dim_ + k]);
     }
     out << '\n';
   }
@@ -149,29 +197,61 @@ DynamicClusterer DynamicClusterer::load(std::istream& in) {
   require(static_cast<bool>(in >> gamma >> dstar >> next_domain >>
                             point_count >> dim),
           "DynamicClusterer::load: bad dimensions");
+  // The rebuilt sums below assume what add_tasks guarantees: an even
+  // (concatenated [V_Q; V_T]) dimension and ids below the id counter.
+  require(dim % 2 == 0, "DynamicClusterer::load: odd vector dimension");
   DynamicClusterer clusterer(gamma);
   clusterer.dstar_ = dstar;
   clusterer.next_domain_ = next_domain;
-  // eta2-lint: allow(unbounded-input-resize) — resume path: this stream is
-  // a snapshot the process itself wrote; the per-point require() below
-  // fails fast on a truncated count, so a corrupt header costs one
-  // oversized reserve, not silent growth from hostile input.
-  clusterer.points_.reserve(point_count);
-  // eta2-lint: allow(unbounded-input-resize) — see above.
-  clusterer.point_domain_.reserve(point_count);
+  clusterer.dim_ = dim;
   for (std::size_t p = 0; p < point_count; ++p) {
     DomainId domain = 0;
     require(static_cast<bool>(in >> domain),
             "DynamicClusterer::load: truncated points");
-    text::Embedding vec(dim, 0.0);
-    for (double& v : vec) {
+    require(domain < next_domain,
+            "DynamicClusterer::load: domain id beyond the id counter");
+    clusterer.point_domain_.push_back(domain);
+    for (std::size_t k = 0; k < dim; ++k) {
+      double v = 0.0;
       require(static_cast<bool>(in >> v),
               "DynamicClusterer::load: truncated vector");
+      clusterer.points_.push_back(v);
     }
-    clusterer.points_.push_back(std::move(vec));
-    clusterer.point_domain_.push_back(domain);
   }
-  clusterer.rebuild_live_domains();
+
+  // Rebuild the derived domain state once: each block of rows against every
+  // row before it, folded into the cross sums by domain.
+  auto& live = clusterer.live_domains_;
+  live = clusterer.point_domain_;
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
+  const std::size_t slots = live.size();
+  std::vector<std::size_t> slot(point_count);
+  clusterer.domain_size_.assign(slots, 0.0);
+  for (std::size_t p = 0; p < point_count; ++p) {
+    slot[p] = slot_of(live, clusterer.point_domain_[p]);
+    clusterer.domain_size_[slot[p]] += 1.0;
+  }
+  SymmetricMatrix& sums = clusterer.cross_sums_;
+  sums = SymmetricMatrix(slots);
+  const double* rows = clusterer.points_.data();
+  for (std::size_t begin = 0; begin < point_count; begin += kRebuildBlock) {
+    const std::size_t end = std::min(begin + kRebuildBlock, point_count);
+    const BatchPass pass =
+        batch_pass(rows, std::span(slot).first(begin), slots,
+                   rows + begin * dim, end - begin, dim);
+    for (std::size_t t = 0; t < end - begin; ++t) {
+      const std::size_t a = slot[begin + t];
+      const double* row_sums = pass.slot_sums.data() + t * slots;
+      for (std::size_t b = 0; b < slots; ++b) {
+        if (b != a) sums.add_unchecked(a, b, row_sums[b]);
+      }
+      for (std::size_t s = 0; s < t; ++s) {
+        const std::size_t b = slot[begin + s];
+        if (b != a) sums.add_unchecked(a, b, pass.batch_dist.at_unchecked(t, s));
+      }
+    }
+  }
   return clusterer;
 }
 
@@ -179,98 +259,53 @@ ClusterUpdate DynamicClusterer::add_tasks(
     std::span<const text::Embedding> vectors) {
   ClusterUpdate update;
   if (vectors.empty()) return update;
+  // Validate the whole batch before any state changes, so a rejected batch
+  // leaves the clusterer as it was.
   const std::size_t dim = vectors.front().size();
   for (const auto& v : vectors) {
     require(v.size() == dim, "DynamicClusterer: inconsistent vector dimension");
   }
-  require(points_.empty() || points_.front().size() == dim,
+  require(task_count() == 0 || dim == dim_,
           "DynamicClusterer: dimension differs from previous batches");
+  require(dim % 2 == 0, "DynamicClusterer: expected concatenated [V_Q; V_T]");
 
-  const std::size_t old_count = points_.size();
-  for (const auto& v : vectors) points_.push_back(v);
-  const std::size_t total = points_.size();
-  point_domain_.resize(total, 0);
-  // Any round with at least one pair computes distances, and task_distance
-  // demands an even (concatenated [V_Q; V_T]) dimension — hoisted here so
-  // no throwing validation runs inside the parallel sweeps below.
-  require(total < 2 || dim % 2 == 0,
-          "DynamicClusterer: expected concatenated [V_Q; V_T]");
-  const std::vector<double> flat = flatten_points(points_, dim);
-  const double* flat_rows = flat.data();
-
-  // Update d* with the new pairwise distances (new-vs-all). Max over fixed
-  // chunks combined in index order — bit-identical at any thread count.
-  const double batch_max = parallel::parallel_reduce(
-      total - old_count, 4, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        double local = 0.0;
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::size_t i = old_count + t;
-          const double* row = flat_rows + i * dim;
-          for (std::size_t j = 0; j < i; ++j) {
-            local = std::max(local,
-                             task_distance_rows(row, flat_rows + j * dim, dim));
-          }
-        }
-        return local;
-      },
-      [](double a, double b) { return std::max(a, b); });
-  dstar_ = std::max(dstar_, batch_max);
-  const double threshold = gamma_ * dstar_;
-
-  // Units for this round: one unit per existing live domain, plus one
-  // singleton unit per new task. (Existing domains are derived from the
-  // pre-batch points only — the resized placeholder labels of the new
-  // points must not leak in.)
-  std::set<DomainId> existing_set(point_domain_.begin(),
-                                  point_domain_.begin() +
-                                      static_cast<std::ptrdiff_t>(old_count));
-  const std::vector<DomainId> existing(existing_set.begin(), existing_set.end());
-  std::vector<std::vector<std::size_t>> unit_members;
-  unit_members.reserve(existing.size() + (total - old_count));
-  for (const DomainId d : existing) {
-    std::vector<std::size_t> members;
-    for (std::size_t p = 0; p < old_count; ++p) {
-      if (point_domain_[p] == d) members.push_back(p);
-    }
-    unit_members.push_back(std::move(members));
+  const std::size_t history = task_count();
+  const std::size_t batch_count = vectors.size();
+  // Units for this round: one unit per existing live domain (slot order),
+  // then one singleton unit per new task.
+  const std::size_t existing = live_domains_.size();
+  const std::size_t n_units = existing + batch_count;
+  const std::vector<double> batch = flatten_points(vectors, dim);
+  std::vector<std::size_t> history_slot(history);
+  for (std::size_t p = 0; p < history; ++p) {
+    history_slot[p] = slot_of(live_domains_, point_domain_[p]);
   }
-  const std::size_t existing_units = unit_members.size();
-  for (std::size_t p = old_count; p < total; ++p) {
-    unit_members.push_back({p});
-  }
-  const std::size_t n_units = unit_members.size();
 
-  // Average pairwise distance between units.
-  std::vector<double> sizes(n_units, 0.0);
-  for (std::size_t u = 0; u < n_units; ++u) {
-    sizes[u] = static_cast<double>(unit_members[u].size());
-  }
+  // 1. One pass over the new-vs-all pairs: the d* update and, per new task,
+  //    its distance sum over each existing domain.
+  const BatchPass pass = batch_pass(points_.data(), history_slot, existing,
+                                    batch.data(), batch_count, dim);
+  const double dstar = std::max(dstar_, pass.max_distance);
+  const auto raw_sum = [&](std::size_t u, std::size_t v) {  // v < u
+    if (u < existing) return cross_sums_.at_unchecked(u, v);
+    if (v < existing) return pass.slot_sums[(u - existing) * existing + v];
+    return pass.batch_dist.at_unchecked(u - existing, v - existing);
+  };
+
+  // 2. Average pairwise distance between units (paper Eq. 2): the unit's
+  //    raw distance sum over the product of the two sizes.
+  std::vector<double> sizes = domain_size_;
+  sizes.resize(n_units, 1.0);
   SymmetricMatrix dist(n_units);
-  if (existing_units == 0) {
-    // Warm-up round: every unit is the singleton {p} with p == u, so the
-    // unit matrix IS the pairwise task-distance matrix (sum/1.0 bitwise).
-    dist = pairwise_task_distances(points_);
-  } else {
-    // Rows are disjoint; each cell averages its members independently. The
-    // member lists index the flattened buffer, so the inner sweep streams
-    // contiguous rows instead of chasing Embedding pointers.
-    parallel::parallel_for(n_units, 4, [&](std::size_t u) {
-      for (std::size_t v = 0; v < u; ++v) {
-        double sum = 0.0;
-        for (const std::size_t p : unit_members[u]) {
-          const double* row = flat_rows + p * dim;
-          for (const std::size_t q : unit_members[v]) {
-            sum += task_distance_rows(row, flat_rows + q * dim, dim);
-          }
-        }
-        dist.set_unchecked(u, v, sum / (sizes[u] * sizes[v]));
-      }
-    });
+  for (std::size_t u = 1; u < n_units; ++u) {
+    for (std::size_t v = 0; v < u; ++v) {
+      dist.set_unchecked(u, v, raw_sum(u, v) / (sizes[u] * sizes[v]));
+    }
   }
 
+  // 3. Linkage.
   const auto dendrogram = upgma_dendrogram(dist, sizes);
-  const auto labels = cut_dendrogram(dendrogram, n_units, threshold);
+  const auto labels = cut_dendrogram(dendrogram, n_units, gamma_ * dstar);
   // Every unit gets exactly one flat label; the relabel loops below index
   // labels[u] for every unit.
   ETA2_ENSURES(labels.size() == n_units);
@@ -284,48 +319,71 @@ ClusterUpdate DynamicClusterer::add_tasks(
   std::vector<bool> label_has_domain(label_count, false);
   // Pick the largest existing domain inside each label as the survivor.
   std::vector<double> best_size(label_count, 0.0);
-  for (std::size_t u = 0; u < existing_units; ++u) {
+  for (std::size_t u = 0; u < existing; ++u) {
     const std::size_t l = labels[u];
     if (!label_has_domain[l] || sizes[u] > best_size[l]) {
       label_has_domain[l] = true;
-      label_domain[l] = existing[u];
+      label_domain[l] = live_domains_[u];
       best_size[l] = sizes[u];
     }
   }
   // Absorbed existing domains produce merge events.
-  for (std::size_t u = 0; u < existing_units; ++u) {
+  for (std::size_t u = 0; u < existing; ++u) {
     const std::size_t l = labels[u];
-    if (label_domain[l] != existing[u]) {
-      update.merges.push_back(DomainMerge{label_domain[l], existing[u]});
+    if (label_domain[l] != live_domains_[u]) {
+      update.merges.push_back(DomainMerge{label_domain[l], live_domains_[u]});
     }
   }
   // Only-new clusters get fresh domain ids.
+  DomainId next_domain = next_domain_;
   for (std::size_t l = 0; l < label_count; ++l) {
     if (!label_has_domain[l]) {
-      label_domain[l] = next_domain_++;
+      label_domain[l] = next_domain++;
       label_has_domain[l] = true;
       update.new_domains.push_back(label_domain[l]);
     }
   }
 
-  // Relabel every point (absorbed domains move to the surviving id).
+  // 4. Fold: every final cluster is non-empty and has its own id, so the
+  //    sorted ids are the next live list. Sizes and cross sums of the units
+  //    are summed by final cluster; sums inside one cluster drop out.
+  std::vector<DomainId> live = label_domain;
+  std::sort(live.begin(), live.end());
+  std::vector<std::size_t> label_slot(label_count);
+  for (std::size_t l = 0; l < label_count; ++l) {
+    label_slot[l] = slot_of(live, label_domain[l]);
+  }
+  std::vector<double> live_size(label_count, 0.0);
+  SymmetricMatrix live_sums(label_count);
   for (std::size_t u = 0; u < n_units; ++u) {
-    ETA2_ASSERT(labels[u] < label_count && label_has_domain[labels[u]]);
-    const DomainId d = label_domain[labels[u]];
-    for (const std::size_t p : unit_members[u]) point_domain_[p] = d;
+    const std::size_t a = label_slot[labels[u]];
+    live_size[a] += sizes[u];
+    for (std::size_t v = 0; v < u; ++v) {
+      const std::size_t b = label_slot[labels[v]];
+      if (a != b) live_sums.add_unchecked(a, b, raw_sum(u, v));
+    }
   }
-  // Refresh the live list from this round's cluster→domain map (every final
-  // cluster is non-empty, so these ids are exactly the live set) instead of
-  // re-scanning every point.
-  live_domains_ = label_domain;
-  std::sort(live_domains_.begin(), live_domains_.end());
-  live_domains_.erase(
-      std::unique(live_domains_.begin(), live_domains_.end()),
-      live_domains_.end());
-  update.assignments.reserve(total - old_count);
-  for (std::size_t p = old_count; p < total; ++p) {
-    update.assignments.push_back(point_domain_[p]);
+
+  // Relabel every point (absorbed domains move to the surviving id).
+  std::vector<DomainId> point_domain(history + batch_count);
+  for (std::size_t p = 0; p < history; ++p) {
+    point_domain[p] = label_domain[labels[history_slot[p]]];
   }
+  update.assignments.reserve(batch_count);
+  for (std::size_t t = 0; t < batch_count; ++t) {
+    point_domain[history + t] = label_domain[labels[existing + t]];
+    update.assignments.push_back(point_domain[history + t]);
+  }
+
+  // Commit.
+  points_.insert(points_.end(), batch.begin(), batch.end());
+  dim_ = dim;
+  dstar_ = dstar;
+  next_domain_ = next_domain;
+  point_domain_ = std::move(point_domain);
+  live_domains_ = std::move(live);
+  domain_size_ = std::move(live_size);
+  cross_sums_ = std::move(live_sums);
   return update;
 }
 

@@ -47,14 +47,17 @@ class DynamicClusterer {
   // gamma in [0, 1]: merge-stop threshold as a fraction of d*.
   explicit DynamicClusterer(double gamma);
 
-  // Adds a batch of task semantic vectors (all with one fixed dimension) and
-  // runs the merging round. The first call plays the role of the paper's
-  // warm-up clustering (every task starts as a singleton).
+  // Adds a batch of task semantic vectors (all with one fixed, even
+  // dimension) and runs the merging round. The first call plays the role of
+  // the paper's warm-up clustering (every task starts as a singleton). A
+  // round computes only the distances that involve the batch: O(B·H·dim +
+  // (K+B)²) for B new tasks, H earlier tasks and K live domains. Throws
+  // std::invalid_argument on a bad batch and leaves the state unchanged.
   ClusterUpdate add_tasks(std::span<const text::Embedding> vectors);
 
   [[nodiscard]] double gamma() const { return gamma_; }
   [[nodiscard]] double dstar() const { return dstar_; }
-  [[nodiscard]] std::size_t task_count() const { return points_.size(); }
+  [[nodiscard]] std::size_t task_count() const { return point_domain_.size(); }
   // Number of currently live domains. O(1): the live list is maintained
   // incrementally as batches are added.
   [[nodiscard]] std::size_t domain_count() const { return live_domains_.size(); }
@@ -70,15 +73,19 @@ class DynamicClusterer {
   [[nodiscard]] static DynamicClusterer load(std::istream& in);
 
  private:
-  void rebuild_live_domains();
-
   double gamma_;
   double dstar_ = 0.0;
-  std::vector<text::Embedding> points_;
+  std::size_t dim_ = 0;
+  // Every task ever added, row-major: task_count() rows of dim_ values.
+  std::vector<double> points_;
   std::vector<DomainId> point_domain_;
-  // Sorted-unique live domain ids, refreshed once per add_tasks round (and
-  // on load) rather than rebuilt from every point on each query.
+  // Sorted-unique live domain ids. Position k in this list is the domain's
+  // slot: domain_size_[k] counts its tasks, and cross_sums_(a, b) holds
+  // S(a, b) = Σ_{p∈a, q∈b} d(p, q) for slots a ≠ b. The sums are derived
+  // state: maintained across rounds, rebuilt by load(), never saved.
   std::vector<DomainId> live_domains_;
+  std::vector<double> domain_size_;
+  SymmetricMatrix cross_sums_{0};
   DomainId next_domain_ = 0;
 };
 

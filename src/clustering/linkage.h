@@ -39,6 +39,10 @@ class SymmetricMatrix {
     ETA2_ASSERT(i < n_ && j < n_ && i != j);
     data_[index_unchecked(i, j)] = value;
   }
+  void add_unchecked(std::size_t i, std::size_t j, double value) {
+    ETA2_ASSERT(i < n_ && j < n_ && i != j);
+    data_[index_unchecked(i, j)] += value;
+  }
 
  private:
   [[nodiscard]] static std::size_t index_unchecked(std::size_t i,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "text/embedder.h"
 #include "text/pairword.h"
@@ -123,6 +125,52 @@ TEST(DynamicClustererTest, RejectsDimensionMismatch) {
   EXPECT_THROW(
       c.add_tasks(std::vector<text::Embedding>{{1.0, 2.0}}),
       std::invalid_argument);
+}
+
+std::string saved(const DynamicClusterer& c) {
+  std::ostringstream out;
+  c.save(out);
+  return out.str();
+}
+
+// Regression: a rejected batch used to be appended before the dimension
+// check, leaving tasks with no domain and failing every later batch.
+TEST(DynamicClustererTest, RejectedBatchLeavesStateUnchanged) {
+  DynamicClusterer c(0.5);
+  EXPECT_THROW(c.add_tasks(std::vector<text::Embedding>{{1.0, 2.0, 3.0},
+                                                        {4.0, 5.0, 6.0}}),
+               std::invalid_argument);
+  EXPECT_EQ(c.task_count(), 0u);
+  EXPECT_EQ(c.domain_count(), 0u);
+  const auto first = c.add_tasks(
+      std::vector<text::Embedding>{point(0.0, 0.0), point(0.1, 0.0)});
+  EXPECT_EQ(first.assignments.size(), 2u);
+  EXPECT_EQ(c.task_count(), 2u);
+
+  const std::string before = saved(c);
+  EXPECT_THROW(c.add_tasks(std::vector<text::Embedding>{point(1.0, 1.0),
+                                                        {1.0, 2.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      c.add_tasks(std::vector<text::Embedding>{{1.0, 2.0, 3.0, 4.0, 5.0, 6.0}}),
+      std::invalid_argument);
+  EXPECT_EQ(saved(c), before);
+  const auto next = c.add_tasks(std::vector<text::Embedding>{point(0.05, 0.0)});
+  EXPECT_EQ(next.assignments[0], first.assignments[0]);
+}
+
+// load() rebuilds the domain sums, which needs an even dimension and every
+// label below the id counter.
+TEST(DynamicClustererTest, LoadRejectsOddDimensionAndUnknownDomain) {
+  std::istringstream odd("dynamic-clusterer v1\n0.5 1 1 1 3\n0 1 2 3\n");
+  EXPECT_THROW((void)DynamicClusterer::load(odd), std::invalid_argument);
+  std::istringstream unknown(
+      "dynamic-clusterer v1\n0.5 1 1 2 2\n0 1 2\n1 3 4\n");
+  EXPECT_THROW((void)DynamicClusterer::load(unknown), std::invalid_argument);
+  std::istringstream valid(
+      "dynamic-clusterer v1\n0.5 1 2 2 2\n0 1 2\n1 3 4\n");
+  const DynamicClusterer loaded = DynamicClusterer::load(valid);
+  EXPECT_EQ(loaded.domain_count(), 2u);
 }
 
 TEST(DynamicClustererTest, DstarGrowsMonotonically) {
