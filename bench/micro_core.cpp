@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "alloc/max_quality.h"
+#include "alloc/rescan_greedy.h"
 #include "clustering/dynamic_clusterer.h"
 #include "clustering/linkage.h"
 #include "common/flags.h"
@@ -52,6 +53,7 @@
 #include "truth/eta2_mle.h"
 #include "truth/expertise_store.h"
 #include "truth/sharding.h"
+#include "truth/truth_oracle.h"
 
 namespace {
 
@@ -333,49 +335,45 @@ std::vector<Kernel> make_kernels(bool quick) {
     problem->task_time.resize(tasks);
     for (double& t : problem->task_time) t = rng.uniform(0.5, 1.5);
     problem->user_capacity.assign(users, 12.0);
-    const auto allocate_with = [problem](eta2::alloc::GreedyImpl impl) {
-      eta2::alloc::MaxQualityAllocator::Options options;
-      options.impl = impl;
+    const auto allocate_celf = [problem]() {
       const auto allocation =
-          eta2::alloc::MaxQualityAllocator(options).allocate(*problem);
+          eta2::alloc::MaxQualityAllocator().allocate(*problem);
+      return std::vector<double>{
+          eta2::alloc::allocation_objective(*problem, allocation, 1.0),
+          static_cast<double>(allocation.pair_count())};
+    };
+    // The rescan columns come from the test oracle (tests/alloc/
+    // rescan_greedy.h), compiled into this binary.
+    const auto allocate_rescan = [problem]() {
+      const auto allocation = eta2::alloc::rescan_allocate(*problem, {});
       return std::vector<double>{
           eta2::alloc::allocation_objective(*problem, allocation, 1.0),
           static_cast<double>(allocation.pair_count())};
     };
     kernels.push_back(Kernel{
-        "greedy_allocate", tasks,
-        [allocate_with]() {
-          return allocate_with(eta2::alloc::GreedyImpl::kLazy);
-        },
-        [problem, allocate_with](int reps, KernelTiming& timing) {
+        "greedy_allocate", tasks, allocate_celf,
+        [problem, allocate_celf, allocate_rescan](int reps,
+                                                  KernelTiming& timing) {
           // Deterministic work counters: marginal-gain evaluations per
           // engine on the bench problem. The CELF win is asymptotic — the
           // counter ratio shows it even when wall-clock is noisy.
-          const auto count_gains = [problem](eta2::alloc::GreedyImpl impl) {
-            eta2::alloc::GreedyOptions options;
-            options.impl = impl;
+          const auto count_gains = [problem](auto extend) {
             eta2::alloc::Allocation allocation(problem->user_count(),
                                                problem->task_count());
             eta2::alloc::GreedyStats stats;
-            eta2::alloc::greedy_extend(*problem, options, allocation, &stats);
+            extend(*problem, eta2::alloc::GreedyOptions{}, allocation, &stats);
             return stats;
           };
           const eta2::alloc::GreedyStats rescan_stats =
-              count_gains(eta2::alloc::GreedyImpl::kRescan);
+              count_gains(eta2::alloc::rescan_greedy_extend);
           const eta2::alloc::GreedyStats lazy_stats =
-              count_gains(eta2::alloc::GreedyImpl::kLazy);
+              count_gains(eta2::alloc::greedy_extend);
           std::vector<double> rescan_signature;
-          const double rescan_ns = time_median_ns(
-              [allocate_with]() {
-                return allocate_with(eta2::alloc::GreedyImpl::kRescan);
-              },
-              reps, rescan_signature);
+          const double rescan_ns =
+              time_median_ns(allocate_rescan, reps, rescan_signature);
           std::vector<double> lazy_signature;
-          const double lazy_ns = time_median_ns(
-              [allocate_with]() {
-                return allocate_with(eta2::alloc::GreedyImpl::kLazy);
-              },
-              reps, lazy_signature);
+          const double lazy_ns =
+              time_median_ns(allocate_celf, reps, lazy_signature);
           timing.extra.emplace_back(
               "gain_evaluations_rescan",
               std::to_string(rescan_stats.gain_evaluations));
@@ -573,16 +571,18 @@ std::vector<Kernel> make_kernels(bool quick) {
     const auto sharded = [data, domain, domains, problem, plan,
                           signature_of]() {
       const eta2::truth::Eta2Mle mle;
-      const auto fit = eta2::truth::sharded_estimate(
-          mle, *data, *domain, domains, *plan,
-          eta2::truth::ShardingTier::kExact);
+      const auto fit = eta2::truth::sharded_estimate(mle, *data, *domain,
+                                                     domains, *plan);
       const auto allocation =
           eta2::alloc::MaxQualityAllocator().allocate(*problem);
       return signature_of(fit, *problem, allocation);
     };
+    // Reference column: the monolithic Eq. 5/6 loop of the test oracle
+    // (tests/truth/truth_oracle.h), compiled into this binary.
     const auto monolithic = [data, domain, domains, problem, signature_of]() {
       const eta2::truth::Eta2Mle mle;
-      const auto fit = mle.estimate(*data, *domain, domains);
+      const auto fit =
+          eta2::truth::oracle::estimate(mle, *data, *domain, domains);
       const auto allocation =
           eta2::alloc::MaxQualityAllocator().allocate(*problem);
       return signature_of(fit, *problem, allocation);

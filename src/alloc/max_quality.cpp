@@ -13,15 +13,29 @@
 namespace eta2::alloc {
 namespace {
 
-// Working state shared by both greedy engines: the p matrix, remaining
-// per-user capacity, and each task's miss probability Π(1 − p_ij).
-class GreedyCore {
+// CELF lazy engine (DESIGN.md §11). Submodularity makes every cached
+// efficiency an upper bound on the current one: a selection only multiplies
+// miss_[j] by (1 − p) ≤ 1, only shrinks remaining capacity, and assignments
+// are sticky — so gains never increase. A max-heap of stale per-task bounds
+// therefore finds the true argmax by popping until the top entry's bound was
+// refreshed under the current state.
+//
+// Within one task every feasible user's efficiency is p_ij times the same
+// positive factor miss_[j](/t_j), so the per-task argmax is found without a
+// scan: users are pre-sorted by (p_ij desc, index asc) and a cursor skips
+// entries that became infeasible — permanently, because infeasibility is
+// monotone. A task refresh is then O(1) amortized instead of O(n). The sort
+// key depends on the task only through its class, so one order per class
+// serves every task of that class (K sorts, not m); cursors stay per task
+// because feasibility (capacity vs t_j, prior assignment) is per task.
+class LazyGreedy {
  public:
-  GreedyCore(const AllocationProblem& problem, const GreedyOptions& options,
-             const Allocation& allocation)
+  LazyGreedy(const AllocationProblem& problem, const GreedyOptions& options,
+             const Allocation& allocation, GreedyStats& stats)
       : problem_(problem),
         options_(options),
         allocation_(allocation),
+        stats_(stats),
         k_(problem.class_count()) {
     const std::size_t n = problem.user_count();
     const std::size_t m = problem.task_count();
@@ -39,7 +53,7 @@ class GreedyCore {
         n * k_, 4096, [&](std::size_t begin, std::size_t end) {
           stats::accuracy_probability_batch(
               expertise.subspan(begin, end - begin), options_.epsilon,
-              p_span.subspan(begin, end - begin), options_.fast_math);
+              p_span.subspan(begin, end - begin));
           for (std::size_t cell = begin; cell < end; ++cell) {
             // Algorithm 1's efficiency ordering assumes p_ij ∈ [0, 1].
             ETA2_ASSERT(p_[cell] >= 0.0 && p_[cell] <= 1.0);
@@ -53,132 +67,6 @@ class GreedyCore {
     for (TaskId j = 0; j < m; ++j) {
       for (const UserId i : allocation.users_of(j)) miss_[j] *= 1.0 - p(i, j);
     }
-  }
-
-  // Applies a selection to the shared state (both engines call this first,
-  // then fix up their own caches).
-  void apply(UserId i, TaskId j, Allocation& allocation) {
-    allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
-    remaining_[i] -= problem_.task_time[j];
-    // Capacity feasibility: an infeasible pair never has positive
-    // efficiency, so a selected pair can never overdraw the time budget.
-    ETA2_ASSERT(remaining_[i] >= 0.0);
-    miss_[j] *= 1.0 - p(i, j);
-    ETA2_ASSERT(miss_[j] >= 0.0 && miss_[j] <= 1.0);
-  }
-
- protected:
-  [[nodiscard]] double p(UserId i, TaskId j) const {
-    return p_[i * k_ + class_[j]];
-  }
-
-  const AllocationProblem& problem_;
-  const GreedyOptions& options_;
-  const Allocation& allocation_;
-  std::size_t k_;                   // class count (row stride of p_)
-  std::vector<std::size_t> class_;  // task -> class
-  std::vector<double> p_;           // row-major n × K accuracy probabilities
-  std::vector<double> remaining_;
-  std::vector<double> miss_;
-};
-
-// Reference engine: rescans every user of an invalidated task eagerly.
-// Kept verbatim as the semantics oracle for the lazy engine (the
-// equivalence suite in tests/alloc/lazy_greedy_test.cpp pins byte-identical
-// allocations between the two).
-class RescanGreedy : public GreedyCore {
- public:
-  RescanGreedy(const AllocationProblem& problem, const GreedyOptions& options,
-               const Allocation& allocation, GreedyStats& stats)
-      : GreedyCore(problem, options, allocation), stats_(stats) {
-    const std::size_t m = problem.task_count();
-    best_eff_.assign(m, 0.0);
-    best_user_.assign(m, problem.user_count());
-    for (TaskId j = 0; j < m; ++j) rescan_task(j);
-  }
-
-  // Efficiency of (i, j) under the current state (Definition 1).
-  [[nodiscard]] double efficiency(UserId i, TaskId j) const {
-    ++stats_.gain_evaluations;
-    if (remaining_[i] < problem_.task_time[j]) return 0.0;
-    if (allocation_.is_assigned(i, j)) return 0.0;
-    const double gain = p(i, j) * miss_[j];
-    return options_.efficiency_per_time ? gain / problem_.task_time[j] : gain;
-  }
-
-  void rescan_task(TaskId j) {
-    const std::size_t n = problem_.user_count();
-    best_eff_[j] = 0.0;
-    best_user_[j] = n;
-    for (UserId i = 0; i < n; ++i) {
-      const double e = efficiency(i, j);
-      if (e > best_eff_[j]) {
-        best_eff_[j] = e;
-        best_user_[j] = i;
-      }
-    }
-  }
-
-  // Picks the globally best pair; returns false when max efficiency is 0.
-  [[nodiscard]] bool next(UserId& user, TaskId& task) const {
-    double best = 0.0;
-    TaskId best_task = problem_.task_count();
-    for (TaskId j = 0; j < problem_.task_count(); ++j) {
-      if (best_eff_[j] > best) {
-        best = best_eff_[j];
-        best_task = j;
-      }
-    }
-    if (best_task == problem_.task_count()) return false;
-    task = best_task;
-    user = best_user_[best_task];
-    return true;
-  }
-
-  // Applies the selection and refreshes the caches that it invalidated.
-  void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, allocation);
-    ++stats_.selections;
-    rescan_task(j);
-    // Other tasks' cached best may reference user i, whose remaining
-    // capacity shrank (or which is now assigned to j only — irrelevant for
-    // them). Rescan exactly those tasks.
-    for (TaskId other = 0; other < problem_.task_count(); ++other) {
-      if (other != j && best_user_[other] == i &&
-          remaining_[i] < problem_.task_time[other]) {
-        rescan_task(other);
-      }
-    }
-  }
-
- private:
-  GreedyStats& stats_;
-  std::vector<double> best_eff_;
-  std::vector<UserId> best_user_;
-};
-
-// CELF lazy engine (DESIGN.md §11). Submodularity makes every cached
-// efficiency an upper bound on the current one: a selection only multiplies
-// miss_[j] by (1 − p) ≤ 1, only shrinks remaining capacity, and assignments
-// are sticky — so gains never increase. A max-heap of stale per-task bounds
-// therefore finds the true argmax by popping until the top entry's bound was
-// refreshed under the current state.
-//
-// Within one task every feasible user's efficiency is p_ij times the same
-// positive factor miss_[j](/t_j), so the per-task argmax is found without a
-// scan: users are pre-sorted by (p_ij desc, index asc) and a cursor skips
-// entries that became infeasible — permanently, because infeasibility is
-// monotone. A task refresh is then O(1) amortized instead of O(n). The sort
-// key depends on the task only through its class, so one order per class
-// serves every task of that class (K sorts, not m); cursors stay per task
-// because feasibility (capacity vs t_j, prior assignment) is per task.
-class LazyGreedy : public GreedyCore {
- public:
-  LazyGreedy(const AllocationProblem& problem, const GreedyOptions& options,
-             const Allocation& allocation, GreedyStats& stats)
-      : GreedyCore(problem, options, allocation), stats_(stats) {
-    const std::size_t n = problem.user_count();
-    const std::size_t m = problem.task_count();
     order_.resize(n * k_);
     cursor_.assign(m, 0);
     parallel::parallel_for(k_, 16, [&](std::size_t k) {
@@ -235,7 +123,13 @@ class LazyGreedy : public GreedyCore {
   }
 
   void select(UserId i, TaskId j, Allocation& allocation) {
-    apply(i, j, allocation);
+    allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
+    remaining_[i] -= problem_.task_time[j];
+    // Capacity feasibility: an infeasible pair never has positive
+    // efficiency, so a selected pair can never overdraw the time budget.
+    ETA2_ASSERT(remaining_[i] >= 0.0);
+    miss_[j] *= 1.0 - p(i, j);
+    ETA2_ASSERT(miss_[j] >= 0.0 && miss_[j] <= 1.0);
     ++stats_.selections;
     ++version_;
     // The stale bound stays a valid upper bound (gains only decrease), so
@@ -308,7 +202,19 @@ class LazyGreedy : public GreedyCore {
            !allocation_.is_assigned(i, j);
   }
 
+  [[nodiscard]] double p(UserId i, TaskId j) const {
+    return p_[i * k_ + class_[j]];
+  }
+
+  const AllocationProblem& problem_;
+  const GreedyOptions& options_;
+  const Allocation& allocation_;
   GreedyStats& stats_;
+  std::size_t k_;                   // class count (row stride of p_)
+  std::vector<std::size_t> class_;  // task -> class
+  std::vector<double> p_;           // row-major n × K accuracy probabilities
+  std::vector<double> remaining_;
+  std::vector<double> miss_;
   std::vector<UserId> order_;        // per-class users, (p desc, index asc)
   std::vector<std::size_t> cursor_;  // first possibly-feasible order_ entry
   std::vector<double> bound_;        // current upper bound per task
@@ -336,22 +242,14 @@ std::size_t greedy_extend(const AllocationProblem& problem,
   counters = GreedyStats{};
   std::size_t added = 0;
   double spent = 0.0;
-  const auto drive = [&](auto& state) {
-    while (spent < options.cost_cap) {
-      UserId i = 0;
-      TaskId j = 0;
-      if (!state.next(i, j)) break;  // max efficiency hit zero
-      state.select(i, j, allocation);
-      spent += problem.cost_of(j);
-      ++added;
-    }
-  };
-  if (options.impl == GreedyImpl::kRescan) {
-    RescanGreedy state(problem, options, allocation, counters);
-    drive(state);
-  } else {
-    LazyGreedy state(problem, options, allocation, counters);
-    drive(state);
+  LazyGreedy state(problem, options, allocation, counters);
+  while (spent < options.cost_cap) {
+    UserId i = 0;
+    TaskId j = 0;
+    if (!state.next(i, j)) break;  // max efficiency hit zero
+    state.select(i, j, allocation);
+    spent += problem.cost_of(j);
+    ++added;
   }
   return added;
 }
@@ -368,8 +266,6 @@ Allocation MaxQualityAllocator::allocate(const AllocationProblem& problem,
   GreedyOptions per_time;
   per_time.epsilon = options_.epsilon;
   per_time.efficiency_per_time = true;
-  per_time.impl = options_.impl;
-  per_time.fast_math = options_.fast_math;
 
   GreedyStats pass_stats;
   Allocation primary(problem.user_count(), problem.task_count());

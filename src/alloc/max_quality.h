@@ -11,11 +11,11 @@
 // 1/2-approximation for monotone submodular maximization under a knapsack
 // constraint (§5.1.2, "extra step").
 //
-// Two implementations produce the identical selection sequence (DESIGN.md
-// §11): the reference rescanning greedy, and the default CELF-style lazy
-// greedy that exploits submodularity — every pick only shrinks every pair's
-// marginal gain, so stale cached gains are upper bounds and a max-heap of
-// them replaces the per-pick full scans.
+// The engine is a CELF-style lazy greedy (DESIGN.md §11) that exploits
+// submodularity — every pick only shrinks every pair's marginal gain, so
+// stale cached gains are upper bounds and a max-heap of them replaces the
+// per-pick full scans. It picks exactly the sequence of the rescanning
+// greedy, which lives on as the test oracle tests/alloc/rescan_greedy.h.
 #ifndef ETA2_ALLOC_MAX_QUALITY_H
 #define ETA2_ALLOC_MAX_QUALITY_H
 
@@ -23,25 +23,16 @@
 #include <limits>
 
 #include "alloc/allocation.h"
-#include "stats/normal.h"
 
 namespace eta2::alloc {
 
-// Which greedy engine drives the selection loop. Both are exact and pick
-// identical sequences (including the lowest-index tie-breaks); they differ
-// only in how many gains they evaluate per pick.
-enum class GreedyImpl {
-  kLazy = 0,    // CELF lazy greedy: heap of stale upper bounds (default)
-  kRescan = 1,  // reference implementation: rescan invalidated tasks eagerly
-};
-
 // Work counters for one greedy_extend call (reset on entry). The
-// asymptotic win of kLazy over kRescan shows up in `gain_evaluations`
-// (tracked per allocator benchmark in BENCH_core.json).
+// asymptotic win of CELF over the rescanning oracle shows up in
+// `gain_evaluations` (tracked per allocator benchmark in BENCH_core.json).
 struct GreedyStats {
   std::size_t selections = 0;        // pairs added
   std::size_t gain_evaluations = 0;  // efficiency(i, j) computations
-  std::size_t heap_pops = 0;         // kLazy only
+  std::size_t heap_pops = 0;         // CELF heap pops
 };
 
 struct GreedyOptions {
@@ -52,10 +43,6 @@ struct GreedyOptions {
   // Budget for the cost of pairs added by this call (Algorithm 2's c°):
   // selection stops once the added cost reaches the cap.
   double cost_cap = std::numeric_limits<double>::infinity();
-  GreedyImpl impl = GreedyImpl::kLazy;
-  // Numeric tier for the p_ij build; kExact keeps golden transcripts
-  // bit-identical. See stats::FastMathTier.
-  stats::FastMathTier fast_math = stats::FastMathTier::kExact;
 };
 
 // Greedily extends `allocation` (which may already contain assignments from
@@ -72,8 +59,6 @@ class MaxQualityAllocator {
     double epsilon = 0.1;
     // Enables the ½-approximation extra pass (paper always enables it).
     bool half_approx_pass = true;
-    GreedyImpl impl = GreedyImpl::kLazy;
-    stats::FastMathTier fast_math = stats::FastMathTier::kExact;
   };
 
   MaxQualityAllocator() = default;

@@ -36,8 +36,7 @@ class DomainIdentifier {
 // observations themselves while allocating (min-cost's incremental
 // Algorithm 2 loop) also fill ctx.observations / ctx.data_iterations and
 // return true from collects_observations(), which makes the composer skip
-// the shared collection pass. Allocation is not sharded (DESIGN.md §12):
-// strategies ignore ctx.sharded.
+// the shared collection pass. Allocation is not sharded (DESIGN.md §12).
 class AllocationStrategy {
  public:
   virtual ~AllocationStrategy() = default;
@@ -50,13 +49,12 @@ class AllocationStrategy {
 // ctx.mle_iterations and commits the step's expertise contributions into
 // ctx.store.
 //
-// Shard contract (DESIGN.md §12): when ctx.sharded.active(), updaters may
-// fan Eq. 5/6 sweeps out per shard (truth::sharded_estimate /
-// sharded_dynamic_update) — one dispatch per shard with fixed boundaries —
-// and must fold results back serially in domain-index order, so the result
-// is identical at any thread count (bit-identical under
-// ShardingTier::kExact); ctx.store commits stay on the serial merge path.
-// Inside a shard-dispatched body, only shard-local state and the stage's
+// Shard contract (DESIGN.md §12): the Eq. 5–9 engine behind
+// Eta2Mle::estimate / truth::dynamic_update fans its sweeps out one
+// dispatch per domain shard with fixed boundaries and folds results back
+// serially in domain-index order, so the result is bit-identical at any
+// thread count; ctx.store commits stay on the serial merge path. Inside a
+// shard-dispatched body, only shard-local state and the stage's
 // explicitly shared, disjointly indexed buffers may be written; mutating
 // other StepContext members from a shard body is a contract violation
 // (flagged by eta2_lint rule 9, shard-shared-mutation).

@@ -1,7 +1,5 @@
 #include "core/truth_updaters.h"
 
-#include <utility>
-
 #include "common/error.h"
 #include "truth/sharding.h"
 
@@ -14,27 +12,16 @@ WarmupJointMleUpdater::WarmupJointMleUpdater(const Eta2Config& config) {
 void WarmupJointMleUpdater::update(StepContext& ctx) {
   require(ctx.store != nullptr && ctx.mle != nullptr && ctx.config != nullptr,
           "WarmupJointMleUpdater: store, mle and config required");
-  truth::MleResult fit;
-  if (ctx.sharded.active()) {
-    truth::ShardStageStats stats;
-    fit = truth::sharded_estimate(*ctx.mle, ctx.observations, ctx.task_domains,
-                                  ctx.domain_count, ctx.sharded.plan(),
-                                  ctx.sharded.tier(), {}, &stats);
-    ctx.health.shard_truth_ns = std::move(stats.shard_ns);
-    ctx.health.sharded_truth_iterations +=
-        static_cast<std::size_t>(fit.iterations);
-  } else {
-    fit = ctx.mle->estimate(ctx.observations, ctx.task_domains,
-                            ctx.domain_count);
-  }
+  const truth::MleResult fit =
+      ctx.mle->estimate(ctx.observations, ctx.task_domains, ctx.domain_count);
   ctx.truth = fit.mu;
   ctx.sigma = fit.sigma;
   ctx.mle_iterations = fit.iterations;
+  ctx.health.sharded_truth_iterations +=
+      static_cast<std::size_t>(fit.iterations);
   // Seed the accumulators from the warm-up fit (alpha=1: plain add).
-  const truth::Contributions contrib = truth::expertise_contributions(
-      ctx.observations, ctx.task_domains, fit.mu, fit.sigma, ctx.user_count(),
-      ctx.domain_count);
-  ctx.store->decay_and_accumulate(1.0, contrib.num, contrib.den);
+  truth::accumulate_fit(*ctx.store, ctx.observations, ctx.task_domains,
+                        fit.mu, fit.sigma);
   if (ctx.config->mle.anchor_mean > 0.0) {
     ctx.store->anchor(ctx.config->mle.anchor_mean);
   }
@@ -46,22 +33,13 @@ DynamicTruthUpdater::DynamicTruthUpdater(const Eta2Config& config)
 void DynamicTruthUpdater::update(StepContext& ctx) {
   require(ctx.store != nullptr && ctx.mle != nullptr,
           "DynamicTruthUpdater: store and mle required");
-  truth::DynamicUpdateResult result;
-  if (ctx.sharded.active()) {
-    truth::ShardStageStats stats;
-    result = truth::sharded_dynamic_update(
-        *ctx.store, ctx.observations, ctx.task_domains, alpha_, *ctx.mle,
-        ctx.sharded.plan(), ctx.sharded.tier(), &stats);
-    ctx.health.shard_truth_ns = std::move(stats.shard_ns);
-    ctx.health.sharded_truth_iterations +=
-        static_cast<std::size_t>(result.iterations);
-  } else {
-    result = truth::dynamic_update(*ctx.store, ctx.observations,
-                                   ctx.task_domains, alpha_, *ctx.mle);
-  }
+  const truth::DynamicUpdateResult result = truth::dynamic_update(
+      *ctx.store, ctx.observations, ctx.task_domains, alpha_, *ctx.mle);
   ctx.truth = result.mu;
   ctx.sigma = result.sigma;
   ctx.mle_iterations = result.iterations;
+  ctx.health.sharded_truth_iterations +=
+      static_cast<std::size_t>(result.iterations);
 }
 
 void truth_fallback(StepContext& ctx) {

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "truth/sharding.h"
 
 namespace eta2::truth {
 namespace {
@@ -48,17 +49,37 @@ void Eta2Mle::estimate_truth_only(
       },
       [](std::size_t a, std::size_t b) { return a + b; });
   require(bad == 0, "Eta2Mle: domain out of range");
-  truth_sweep(data, task_domain, expertise, mu, sigma);
+  // Domain-major copy for sweep_task; cells past a short row stay NaN and
+  // are never read (the check above covers every observer's cell).
+  std::size_t domains = 0;
+  for (const auto& row : expertise) domains = std::max(domains, row.size());
+  std::vector<std::vector<double>> columns(
+      domains, std::vector<double>(expertise.size(), kNaN));
+  for (UserId i = 0; i < expertise.size(); ++i) {
+    for (DomainIndex k = 0; k < expertise[i].size(); ++k) {
+      columns[k][i] = expertise[i][k];
+    }
+  }
+  mu.assign(m, kNaN);
+  sigma.assign(m, kNaN);
+  // Eq. 5 is independent per task (disjoint writes to mu[j]/sigma[j]), so
+  // tasks fan out over the parallel runtime bit-identically. A task without
+  // observations reads no column (its domain may lie past the rows).
+  parallel::parallel_for(m, 128, [&](TaskId j) {
+    const DomainIndex k = task_domain[j];
+    sweep_task(data, j,
+               k < domains ? std::span<const double>(columns[k])
+                           : std::span<const double>(),
+               mu, sigma);
+  });
 }
 
-void Eta2Mle::sweep_task(const ObservationSet& data,
-                         std::span<const DomainIndex> task_domain,
-                         const std::vector<std::vector<double>>& expertise,
-                         TaskId j, std::vector<double>& mu,
+void Eta2Mle::sweep_task(const ObservationSet& data, TaskId j,
+                         std::span<const double> expertise_k,
+                         std::vector<double>& mu,
                          std::vector<double>& sigma) const {
   const auto obs = data.for_task(j);
   if (obs.empty()) return;
-  const DomainIndex k = task_domain[j];
   // Corrupt observations (NaN/±Inf) are skipped rather than summed — a
   // single poisoned x_ij must not wipe out the task's truth estimate.
   double num = 0.0;
@@ -67,7 +88,7 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
   std::size_t finite_count = 0;
   for (const Observation& o : obs) {
     if (!std::isfinite(o.value)) continue;
-    const double u = expertise[o.user][k];
+    const double u = expertise_k[o.user];
     // Eq. 5 weights are u²; a non-positive or non-finite expertise here
     // means an upstream clamp was bypassed.
     ETA2_ASSERT(u > 0.0 && std::isfinite(u));
@@ -82,7 +103,7 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
   double var_num = 0.0;
   for (const Observation& o : obs) {
     if (!std::isfinite(o.value)) continue;
-    const double u = expertise[o.user][k];
+    const double u = expertise_k[o.user];
     var_num += u * u * (o.value - mu_j) * (o.value - mu_j);
   }
   mu[j] = mu_j;
@@ -93,26 +114,14 @@ void Eta2Mle::sweep_task(const ObservationSet& data,
   ETA2_ENSURES(sigma[j] >= options_.sigma_min && std::isfinite(mu[j]));
 }
 
-void Eta2Mle::truth_sweep(const ObservationSet& data,
-                          std::span<const DomainIndex> task_domain,
-                          const std::vector<std::vector<double>>& expertise,
-                          std::vector<double>& mu,
-                          std::vector<double>& sigma) const {
-  const std::size_t m = data.task_count();
-  mu.assign(m, kNaN);
-  sigma.assign(m, kNaN);
-  // Eq. 5 is independent per task (disjoint writes to mu[j]/sigma[j]), so
-  // tasks fan out over the parallel runtime bit-identically.
-  parallel::parallel_for(m, 128, [&](TaskId j) {
-    sweep_task(data, task_domain, expertise, j, mu, sigma);
-  });
-}
-
-double Eta2Mle::expertise_update(double num, double den) const {
-  const double p = options_.prior_strength;
-  const double u0 = options_.initial_expertise;
-  const double u = std::sqrt((num + p) / (den + p / (u0 * u0) + options_.ridge));
-  return std::clamp(u, options_.expertise_min, options_.expertise_max);
+double expertise_update(const MleOptions& options, double num, double den) {
+  const double p = options.prior_strength;
+  const double u0 = options.initial_expertise;
+  const double u = std::sqrt((num + p) / (den + p / (u0 * u0) + options.ridge));
+  // Positive numerator and denominator: the pre-clamp estimate must already
+  // be positive and finite (a negative D would mean corrupted accumulators).
+  ETA2_ASSERT(std::isfinite(u) && u > 0.0);
+  return std::clamp(u, options.expertise_min, options.expertise_max);
 }
 
 std::vector<std::vector<double>> Eta2Mle::initial_expertise_matrix(
@@ -192,114 +201,9 @@ MleResult Eta2Mle::estimate(
     const ObservationSet& data, std::span<const DomainIndex> task_domain,
     std::size_t domain_count,
     const std::vector<std::vector<double>>& initial_expertise) const {
-  const std::size_t n = data.user_count();
-  const std::size_t m = data.task_count();
-  require(task_domain.size() == m, "Eta2Mle: task_domain size mismatch");
-  for (const DomainIndex k : task_domain) {
-    require(k < domain_count, "Eta2Mle: task domain index out of range");
-  }
-
-  MleResult result;
-  result.expertise = initial_expertise_matrix(n, domain_count, initial_expertise);
-
-  // User-major index of the observations (CSR layout; tasks stay ascending
-  // within each user). This lets the Eq. 6 accumulation fan out over users
-  // (each user owns its accumulator row), while each (user, domain) cell
-  // still receives its contributions in the task order the serial task-major
-  // loop used — so the sums are bit-identical to serial at any thread count.
-  struct UserObs {
-    TaskId task = 0;
-    double value = 0.0;
-  };
-  std::vector<std::size_t> obs_offset(n + 1, 0);
-  std::vector<UserObs> user_obs(data.total_observations());
-  {
-    for (TaskId j = 0; j < m; ++j) {
-      for (const Observation& o : data.for_task(j)) ++obs_offset[o.user + 1];
-    }
-    for (UserId i = 0; i < n; ++i) obs_offset[i + 1] += obs_offset[i];
-    std::vector<std::size_t> cursor(obs_offset.begin(), obs_offset.end() - 1);
-    for (TaskId j = 0; j < m; ++j) {
-      for (const Observation& o : data.for_task(j)) {
-        user_obs[cursor[o.user]++] = UserObs{j, o.value};
-      }
-    }
-    // CSR shape invariants: the prefix sum must cover exactly the
-    // observation count and every user's cursor must have landed on the
-    // next user's offset — otherwise the Eq. 6 fan-out reads garbage.
-    ETA2_ENSURES(obs_offset[n] == user_obs.size());
-    for (UserId i = 0; i < n; ++i) {
-      ETA2_ASSERT(cursor[i] == obs_offset[i + 1]);
-    }
-  }
-
-  std::vector<double> prev_mu;
-  // estimate()'s own argument checks (task_domain[j] < domain_count, every
-  // expertise row sized domain_count) already prove what the public entry
-  // point's hoisted pre-pass establishes, so the sweeps skip revalidation.
-  truth_sweep(data, task_domain, result.expertise, result.mu, result.sigma);
-
-  // Flat row-major (user × domain) accumulators, reused across iterations.
-  std::vector<double> num(n * domain_count, 0.0);
-  std::vector<double> den(n * domain_count, 0.0);
-
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    result.iterations = iter;
-    // --- Eq. 6: expertise update given (μ, σ). ---
-    // Accumulate per (user, domain): N = #observations, D = Σ (x−μ)²/σ²,
-    // then refresh each user's expertise row. One parallel region per user
-    // range; every lane writes only its users' rows.
-    std::fill(num.begin(), num.end(), 0.0);
-    std::fill(den.begin(), den.end(), 0.0);
-    parallel::parallel_for(n, 16, [&](UserId i) {
-      double* num_row = num.data() + i * domain_count;
-      double* den_row = den.data() + i * domain_count;
-      for (std::size_t t = obs_offset[i]; t < obs_offset[i + 1]; ++t) {
-        const TaskId j = user_obs[t].task;
-        // Skip corrupt values and tasks with no truth estimate (all-corrupt
-        // data): one NaN must not poison the user's accumulator row.
-        if (!std::isfinite(user_obs[t].value) || !std::isfinite(result.mu[j])) {
-          continue;
-        }
-        const DomainIndex k = task_domain[j];
-        // σ_j > 0 whenever μ_j is finite (estimate_truth_only floors it);
-        // dividing by a zero/NaN σ would poison the expertise row.
-        ETA2_ASSERT(result.sigma[j] > 0.0);
-        const double e = (user_obs[t].value - result.mu[j]) / result.sigma[j];
-        num_row[k] += 1.0;
-        den_row[k] += e * e;
-      }
-      for (DomainIndex k = 0; k < domain_count; ++k) {
-        if (num_row[k] <= 0.0) continue;  // no data: keep current value
-        result.expertise[i][k] = expertise_update(num_row[k], den_row[k]);
-      }
-    });
-
-    // --- Eq. 5: truth update given expertise. ---
-    prev_mu = result.mu;
-    truth_sweep(data, task_domain, result.expertise, result.mu, result.sigma);
-
-    // Convergence: every task's truth estimate moved < threshold (relative,
-    // with an absolute floor for estimates near zero).
-    if (truth_converged(prev_mu, result.mu, options_.convergence_threshold)) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Gauge anchoring: pin the mean expertise of observed pairs to
-  // anchor_mean, rescaling σ consistently (σ/u is the identified quantity).
-  if (options_.anchor_mean > 0.0) {
-    std::vector<char> has_data(n * domain_count, 0);
-    parallel::parallel_for(n, 64, [&](UserId i) {
-      for (std::size_t t = obs_offset[i]; t < obs_offset[i + 1]; ++t) {
-        if (!std::isfinite(user_obs[t].value)) continue;  // corrupt: no data
-        has_data[i * domain_count + task_domain[user_obs[t].task]] = 1;
-      }
-    });
-    apply_gauge_anchor(has_data, domain_count, result.expertise, result.sigma);
-  }
-  return result;
+  return sharded_estimate(*this, data, task_domain, domain_count,
+                          ShardPlan::build(task_domain, domain_count, 0),
+                          initial_expertise);
 }
 
 }  // namespace eta2::truth

@@ -60,15 +60,20 @@ struct MleResult {
   bool converged = false;
 };
 
-// Convergence predicate shared by every truth-iteration loop (estimate,
-// dynamic_update, and their sharded counterparts): true iff every task's
-// estimate moved less than `threshold` (relative, with an absolute floor for
-// estimates near zero). The serial ascending-j early-exit scan is part of
-// the determinism contract — all loops must agree bit-for-bit on when to
-// stop iterating.
+// Convergence predicate of the Eq. 5–9 iteration (truth/sharding.h): true
+// iff every task's estimate moved less than `threshold` (relative, with an
+// absolute floor for estimates near zero). The serial ascending-j
+// early-exit scan is part of the determinism contract.
 [[nodiscard]] bool truth_converged(std::span<const double> prev_mu,
                                    std::span<const double> mu,
                                    double threshold);
+
+// Eq. 6 for one accumulator cell (N = num, D = den), with the Bayesian
+// shrinkage prior and the [expertise_min, expertise_max] clamp. Only
+// meaningful for num > 0; the batch sweep and ExpertiseStore (Eq. 9) both
+// evaluate their cells through this one function.
+[[nodiscard]] double expertise_update(const MleOptions& options, double num,
+                                      double den);
 
 class Eta2Mle {
  public:
@@ -78,37 +83,32 @@ class Eta2Mle {
 
   // Runs the full joint estimation. `task_domain[j]` in [0, domain_count).
   // `initial_expertise`, when non-empty, seeds u (expertise[user][domain])
-  // instead of the flat initial value — used by the dynamic update and by
-  // warm starts.
+  // instead of the flat initial value — used by warm starts (min-cost
+  // rounds). Runs the sharded Eq. 5/6 engine (truth/sharding.h) over one
+  // shard per domain.
   [[nodiscard]] MleResult estimate(
       const ObservationSet& data, std::span<const DomainIndex> task_domain,
       std::size_t domain_count,
       const std::vector<std::vector<double>>& initial_expertise = {}) const;
 
   // One fixed-expertise sweep of Eq. 5: computes μ and σ for every task
-  // given frozen expertise values. Used by the min-cost allocator's
-  // per-iteration truth refresh and by the dynamic update's first step.
+  // given frozen expertise values. Used by the trust filter's provisional
+  // truth and by the degraded truth fallback.
   void estimate_truth_only(const ObservationSet& data,
                            std::span<const DomainIndex> task_domain,
                            const std::vector<std::vector<double>>& expertise,
                            std::vector<double>& mu,
                            std::vector<double>& sigma) const;
 
-  // Eq. 5 for a single task, with validation already done: task j's domain
-  // index must be in range for every observer's expertise row, and mu[j] /
-  // sigma[j] must be pre-set to NaN (a task with no usable data leaves them
-  // untouched). This is the exact per-task body of the full sweep, exposed
-  // so the domain-sharded path (truth/sharding.h) produces bit-identical
-  // results by construction.
-  void sweep_task(const ObservationSet& data,
-                  std::span<const DomainIndex> task_domain,
-                  const std::vector<std::vector<double>>& expertise, TaskId j,
+  // Eq. 5 for a single task j, with validation already done: `expertise_k`
+  // is the column of task j's domain (u_i^{d_j}, indexed by user id) and
+  // covers every observer, and mu[j] / sigma[j] must be pre-set to NaN (a
+  // task with no usable data leaves them untouched). The one Eq. 5 body:
+  // estimate_truth_only() and every sweep of the sharded engine
+  // (truth/sharding.h) run it.
+  void sweep_task(const ObservationSet& data, TaskId j,
+                  std::span<const double> expertise_k,
                   std::vector<double>& mu, std::vector<double>& sigma) const;
-
-  // Eq. 6 refresh of one accumulator cell (N = num, D = den), with the
-  // Bayesian shrinkage prior and the [expertise_min, expertise_max] clamp.
-  // Only meaningful for num > 0 (cells without data keep their value).
-  [[nodiscard]] double expertise_update(double num, double den) const;
 
   // The expertise seed estimate() starts from: a flat initial_expertise
   // matrix when `initial` is empty, otherwise a clamped copy of it
@@ -117,9 +117,9 @@ class Eta2Mle {
       std::size_t user_count, std::size_t domain_count,
       const std::vector<std::vector<double>>& initial) const;
 
-  // Gauge-anchoring tail of estimate(): given per-(user, domain) data flags
-  // (row-major user_count × domain_count), rescales expertise and σ so the
-  // geometric mean over flagged cells equals anchor_mean. No-op when
+  // Gauge-anchoring tail of the batch estimate: given per-(user, domain)
+  // data flags (row-major user_count × domain_count), rescales expertise and
+  // σ so the geometric mean over flagged cells equals anchor_mean. No-op when
   // anchoring is disabled (anchor_mean <= 0) or no cell is flagged. The
   // serial log-sum fold order (user-major, domain ascending) is part of the
   // determinism contract.
@@ -129,16 +129,6 @@ class Eta2Mle {
                           std::vector<double>& sigma) const;
 
  private:
-  // Eq. 5 sweep with validation already done: every observed task's domain
-  // index is in range for every observer's expertise row. estimate() proves
-  // this from its own argument checks; estimate_truth_only() establishes it
-  // with a hoisted pre-pass — either way no throwing validation runs inside
-  // the parallel region (the hot-loop-require lint rule).
-  void truth_sweep(const ObservationSet& data,
-                   std::span<const DomainIndex> task_domain,
-                   const std::vector<std::vector<double>>& expertise,
-                   std::vector<double>& mu, std::vector<double>& sigma) const;
-
   MleOptions options_;
 };
 

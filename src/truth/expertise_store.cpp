@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "truth/sharding.h"
 
 namespace eta2::truth {
 
@@ -25,16 +26,7 @@ DomainIndex ExpertiseStore::add_domain() {
 
 double ExpertiseStore::expertise_from(double num, double den) const {
   if (num <= 0.0) return options_.initial_expertise;
-  // Shrinkage toward the prior, matching Eq. 6's update in Eta2Mle.
-  const double p = options_.prior_strength;
-  const double u0 = options_.initial_expertise;
-  const double u = std::sqrt((num + p) / (den + p / (u0 * u0) +
-                                          options_.ridge));
-  // Eq. 6 with positive numerator and denominator: the pre-clamp estimate
-  // must already be positive and finite (a negative accumulated D would
-  // mean a corrupted store).
-  ETA2_ASSERT(std::isfinite(u) && u > 0.0);
-  return std::clamp(u, options_.expertise_min, options_.expertise_max);
+  return expertise_update(options_, num, den);
 }
 
 double ExpertiseStore::expertise(UserId user, DomainIndex domain) const {
@@ -194,79 +186,13 @@ ExpertiseStore ExpertiseStore::load(std::istream& in, MleOptions options) {
   return store;
 }
 
-Contributions expertise_contributions(const ObservationSet& data,
-                                      std::span<const DomainIndex> task_domain,
-                                      std::span<const double> mu,
-                                      std::span<const double> sigma,
-                                      std::size_t user_count,
-                                      std::size_t domain_count) {
-  require(task_domain.size() == data.task_count(),
-          "expertise_contributions: task_domain size mismatch");
-  require(mu.size() == data.task_count() && sigma.size() == data.task_count(),
-          "expertise_contributions: mu/sigma size mismatch");
-  Contributions c;
-  c.num.assign(user_count, std::vector<double>(domain_count, 0.0));
-  c.den.assign(user_count, std::vector<double>(domain_count, 0.0));
-  for (TaskId j = 0; j < data.task_count(); ++j) {
-    if (std::isnan(mu[j]) || std::isnan(sigma[j]) || sigma[j] <= 0.0) continue;
-    const DomainIndex k = task_domain[j];
-    require(k < domain_count, "expertise_contributions: domain out of range");
-    for (const Observation& o : data.for_task(j)) {
-      if (!std::isfinite(o.value)) continue;  // corrupt x_ij: no contribution
-      const double e = (o.value - mu[j]) / sigma[j];
-      c.num[o.user][k] += 1.0;
-      c.den[o.user][k] += e * e;
-    }
-  }
-  return c;
-}
-
 DynamicUpdateResult dynamic_update(ExpertiseStore& store,
                                    const ObservationSet& new_data,
                                    std::span<const DomainIndex> new_task_domain,
                                    double alpha, const Eta2Mle& mle) {
-  require(new_data.user_count() == store.user_count(),
-          "dynamic_update: user count mismatch");
-  const MleOptions& opt = mle.options();
-  const std::size_t n = store.user_count();
-  const std::size_t domains = store.domain_count();
-
-  DynamicUpdateResult result;
-  std::vector<std::vector<double>> expertise = store.snapshot();
-  Contributions contrib;
-  std::vector<double> prev_mu;
-
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-    result.iterations = iter;
-    prev_mu = result.mu;
-    mle.estimate_truth_only(new_data, new_task_domain, expertise, result.mu,
-                            result.sigma);
-    contrib = expertise_contributions(new_data, new_task_domain, result.mu,
-                                      result.sigma, n, domains);
-    // Candidate expertise from decayed history + this iteration's
-    // contributions (Eq. 9). The store is only committed once, after
-    // convergence, so candidates are evaluated on a scratch copy.
-    ExpertiseStore scratch = store;
-    scratch.decay_and_accumulate(alpha, contrib.num, contrib.den);
-    expertise = scratch.snapshot();
-
-    if (!prev_mu.empty() &&
-        truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {
-      result.converged = true;
-      break;
-    }
-  }
-  // Commit the final contributions with one real decay step, then re-anchor
-  // the gauge (the incremental updates otherwise drift it upward) and keep
-  // the reported σ consistent with the anchored expertise.
-  store.decay_and_accumulate(alpha, contrib.num, contrib.den);
-  if (opt.anchor_mean > 0.0) {
-    const double c = store.anchor(opt.anchor_mean);
-    for (double& s : result.sigma) {
-      if (!std::isnan(s)) s = std::max(opt.sigma_min, s / c);
-    }
-  }
-  return result;
+  return sharded_dynamic_update(
+      store, new_data, new_task_domain, alpha, mle,
+      ShardPlan::build(new_task_domain, store.domain_count(), 0));
 }
 
 }  // namespace eta2::truth

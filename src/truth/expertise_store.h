@@ -37,14 +37,13 @@ class ExpertiseStore {
   [[nodiscard]] double expertise(UserId user, DomainIndex domain) const;
 
   // Turns one (N, D) accumulator pair into the clamped expertise of Eq. 9
-  // exactly as expertise() would (initial_expertise when num <= 0).
-  // Factored out so the sharded dynamic update (truth/sharding.h) can
-  // evaluate per-shard candidate accumulators without materializing a
-  // scratch store copy.
+  // exactly as expertise() would (initial_expertise when num <= 0). The
+  // dynamic update (truth/sharding.h) evaluates its candidate cells through
+  // it without copying the store.
   [[nodiscard]] double expertise_from(double num, double den) const;
 
-  // Raw accumulator reads for the sharded dynamic update's candidate
-  // evaluation: α·raw + contribution is the Eq. 7–8 candidate.
+  // Raw accumulator reads for the dynamic update's candidate evaluation:
+  // α·raw + contribution is the Eq. 7–8 candidate.
   [[nodiscard]] double raw_num(UserId user, DomainIndex domain) const {
     return num_[user][domain];
   }
@@ -105,24 +104,13 @@ class ExpertiseStore {
   mutable std::vector<UserId> rank_scratch_;
 };
 
-// Computes the Eq. 7–8 contribution matrices of one batch of tasks: for each
-// (user, domain), add_num counts the user's observations on tasks of that
-// domain and add_den sums (x−μ)²/σ². Tasks with NaN truth are skipped.
-struct Contributions {
-  Accumulators num;
-  Accumulators den;
-};
-[[nodiscard]] Contributions expertise_contributions(
-    const ObservationSet& data, std::span<const DomainIndex> task_domain,
-    std::span<const double> mu, std::span<const double> sigma,
-    std::size_t user_count, std::size_t domain_count);
-
 // The dynamic update of paper §4.2: given the observations collected for the
 // new tasks of the current time step (and their domains), iterate
 //   (a) Eq. 5 truth estimation with the current expertise,
 //   (b) Eq. 7–9 candidate expertise from decayed history + new contributions
 // until the truth estimates converge, then commit the decayed accumulators
-// into the store. Returns the new tasks' truth and base numbers.
+// into the store. Returns the new tasks' truth and base numbers. Runs the
+// sharded engine (truth/sharding.h) over one shard per domain.
 struct DynamicUpdateResult {
   std::vector<double> mu;
   std::vector<double> sigma;

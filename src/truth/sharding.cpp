@@ -1,7 +1,6 @@
 #include "truth/sharding.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -10,42 +9,6 @@
 #include "common/parallel.h"
 
 namespace eta2::truth {
-namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-double now_ns() {
-  // Wall-clock for ShardStageStats observability only: the values ride in
-  // StepHealth but never enter transcripts, durable digests, or saved
-  // state, so the nondeterminism cannot leak into compared artifacts.
-  // eta2-lint: allow(nondeterminism)
-  const auto tick = std::chrono::steady_clock::now().time_since_epoch();
-  return std::chrono::duration<double, std::nano>(tick).count();
-}
-
-// Timed shard dispatch shared by the sharded entry points. `stats`, when
-// present, must already hold one zeroed slot per shard; each shard
-// accumulates only into its own slot.
-void run_shards(std::size_t shard_count, ShardStageStats* stats,
-                const std::function<void(std::size_t)>& body) {
-  for_each_shard(shard_count, [&](std::size_t s) {
-    const double t0 = now_ns();
-    body(s);
-    if (stats != nullptr) stats->shard_ns[s] += now_ns() - t0;
-  });
-}
-
-}  // namespace
-
-const char* to_string(ShardingTier tier) {
-  switch (tier) {
-    case ShardingTier::kExact:
-      return "exact";
-    case ShardingTier::kDomainLocalV1:
-      return "domain-local-v1";
-  }
-  return "unknown";
-}
 
 ShardPlan ShardPlan::build(std::span<const DomainIndex> task_domain,
                            std::size_t domain_count, std::size_t shard_count) {
@@ -68,39 +31,6 @@ ShardPlan ShardPlan::build(std::span<const DomainIndex> task_domain,
   return plan;
 }
 
-ShardedObservations::ShardedObservations(
-    const ObservationSet& data, std::span<const DomainIndex> task_domain,
-    const ShardPlan& plan)
-    : shard_count_(plan.shard_count()), user_count_(data.user_count()) {
-  require(task_domain.size() == data.task_count(),
-          "ShardedObservations: task_domain size mismatch");
-  for (const DomainIndex k : task_domain) {
-    require(k < plan.domain_shard.size(),
-            "ShardedObservations: domain not covered by the plan");
-  }
-  // Standard count / prefix-sum / fill CSR build over (shard, user) cells.
-  // Filling in ascending task order is load-bearing: it makes every
-  // slice(s, i) list tasks ascending, the exact subsequence of the
-  // monolithic task-major iteration that touches user i's shard-s cells.
-  offset_.assign(shard_count_ * user_count_ + 1, 0);
-  for (TaskId j = 0; j < data.task_count(); ++j) {
-    const std::size_t s = plan.domain_shard[task_domain[j]];
-    for (const Observation& o : data.for_task(j)) {
-      ++offset_[s * user_count_ + o.user + 1];
-    }
-  }
-  for (std::size_t c = 1; c < offset_.size(); ++c) offset_[c] += offset_[c - 1];
-  entries_.resize(data.total_observations());
-  std::vector<std::size_t> cursor(offset_.begin(), offset_.end() - 1);
-  for (TaskId j = 0; j < data.task_count(); ++j) {
-    const std::size_t s = plan.domain_shard[task_domain[j]];
-    for (const Observation& o : data.for_task(j)) {
-      entries_[cursor[s * user_count_ + o.user]++] = Entry{j, o.value};
-    }
-  }
-  ETA2_ENSURES(offset_.back() == entries_.size());
-}
-
 void for_each_shard(std::size_t shard_count,
                     const std::function<void(std::size_t)>& fn) {
   // Grain 1 = one pool task per shard with fixed boundaries: the shard →
@@ -109,182 +39,199 @@ void for_each_shard(std::size_t shard_count,
   parallel::parallel_for(shard_count, 1, fn);
 }
 
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// The engine's working planes are domain-major — plane[k][i] is user i's
+// cell in domain k — so a shard's writes stay inside its own domains' rows
+// and its sweeps read one contiguous column per task.
+using Plane = std::vector<std::vector<double>>;
+
+// Between the user-major [user][domain] layout of the public types and the
+// domain-major working planes (either direction).
+Plane transposed(const Plane& in, std::size_t inner) {
+  Plane out(inner, std::vector<double>(in.size(), 0.0));
+  for (std::size_t r = 0; r < in.size(); ++r) {
+    for (std::size_t c = 0; c < inner; ++c) out[c][r] = in[r][c];
+  }
+  return out;
+}
+
+// Eqs. 7–8, the one (N, D) accumulation, for shard s: resets the shard's
+// domain rows, then adds each observation's count and squared standardized
+// residual (x − μ)²/σ². Tasks ascending, at most one report per (task,
+// user): every cell meets its terms in task order.
+void accumulate_shard(const ObservationSet& data, const ShardPlan& plan,
+                      std::size_t s, std::span<const DomainIndex> task_domain,
+                      std::span<const double> mu, std::span<const double> sigma,
+                      Plane& num, Plane& den) {
+  for (const DomainIndex k : plan.domains[s]) {
+    std::fill(num[k].begin(), num[k].end(), 0.0);
+    std::fill(den[k].begin(), den[k].end(), 0.0);
+  }
+  for (const TaskId j : plan.tasks[s]) {
+    // A task without a truth estimate adds nothing.
+    if (!std::isfinite(mu[j])) continue;
+    // σ_j > 0 whenever μ_j is finite (sweep_task floors it).
+    ETA2_ASSERT(sigma[j] > 0.0);
+    std::vector<double>& num_k = num[task_domain[j]];
+    std::vector<double>& den_k = den[task_domain[j]];
+    for (const Observation& o : data.for_task(j)) {
+      // A corrupt value adds nothing: one NaN must not poison the row.
+      if (!std::isfinite(o.value)) continue;
+      const double z = (o.value - mu[j]) / sigma[j];
+      num_k[o.user] += 1.0;
+      den_k[o.user] += z * z;
+    }
+  }
+}
+
+// Checks shared by the entry points: `plan` was built from `task_domain`
+// over exactly domain_count domains.
+void check_plan(const ObservationSet& data,
+                std::span<const DomainIndex> task_domain,
+                std::size_t domain_count, const ShardPlan& plan) {
+  require(task_domain.size() == data.task_count(),
+          "truth engine: task_domain size mismatch");
+  require(plan.domain_shard.size() == domain_count,
+          "truth engine: plan must cover exactly domain_count domains");
+  std::size_t planned = 0;
+  for (std::size_t s = 0; s < plan.shard_count(); ++s) {
+    for (const TaskId j : plan.tasks[s]) {
+      require(j < task_domain.size() && task_domain[j] < domain_count &&
+                  plan.domain_shard[task_domain[j]] == s,
+              "truth engine: plan not built from these task domains");
+    }
+    planned += plan.tasks[s].size();
+  }
+  require(planned == task_domain.size(),
+          "truth engine: plan not built from these task domains");
+}
+
+// The state of one Eq. 5–9 run over one batch.
+struct Sweeps {
+  std::vector<double> mu;
+  std::vector<double> sigma;
+  Plane num;  // (N, D) of the last accumulation, domain-major
+  Plane den;
+  int iterations = 0;
+  bool converged = false;
+};
+
+// The Eq. 5–9 iteration shared by both modes, from the domain-major
+// `expertise` until the truth converges (or max_iterations). `history` null
+// is batch mode (Eq. 6 from this batch alone; a cell without data keeps its
+// value) and stops right after the converging sweep. Otherwise it is
+// decayed mode (Eq. 9 candidates α·history + batch), which also accumulates
+// that last sweep's (N, D) — what the store commits. Each sweep fans out
+// one pool task per shard; a shard writes only μ/σ of its own tasks and the
+// cells of its own domains. Only cells with data (N > 0) are refreshed:
+// Eq. 5 reads only cells of users with a finite report on the task, which
+// have N > 0 once the task has a truth estimate; batch mode keeps the other
+// cells by definition, and decayed mode returns no expertise — its commit
+// goes through (N, D), which is zero there.
+Sweeps iterate(const Eta2Mle& mle, const ObservationSet& data,
+               std::span<const DomainIndex> task_domain, const ShardPlan& plan,
+               Plane& expertise, const ExpertiseStore* history, double alpha,
+               const SweepWeights& weights) {
+  require(weights.user_weight.empty() ||
+              weights.user_weight.size() == data.user_count(),
+          "truth engine: one weight per user");
+  const MleOptions& opt = mle.options();
+  const std::size_t n = data.user_count();
+  const std::size_t shards = plan.shard_count();
+  const bool weighted =
+      !weights.user_weight.empty() ||
+      weights.influence_cap < std::numeric_limits<double>::infinity();
+  // The Eq. 5 view of a weighted run: eff(i, k), refreshed with each cell.
+  Plane effective;
+  const auto refresh_effective = [&](UserId i, DomainIndex k) {
+    const double capped = std::min(expertise[k][i], weights.influence_cap);
+    effective[k][i] = weights.user_weight.empty()
+                          ? capped
+                          : capped * weights.user_weight[i];
+  };
+  if (weighted) {
+    effective = expertise;
+    for (DomainIndex k = 0; k < expertise.size(); ++k) {
+      for (UserId i = 0; i < n; ++i) refresh_effective(i, k);
+    }
+  }
+  const Plane& swept = weighted ? effective : expertise;
+
+  Sweeps run;
+  run.num.assign(expertise.size(), std::vector<double>(n, 0.0));
+  run.den = run.num;
+  std::vector<double> prev_mu;
+  for (int sweeps = 1;; ++sweeps) {
+    prev_mu.swap(run.mu);
+    run.mu.assign(data.task_count(), kNaN);
+    run.sigma.assign(data.task_count(), kNaN);
+    for_each_shard(shards, [&](std::size_t s) {
+      for (const TaskId j : plan.tasks[s]) {
+        mle.sweep_task(data, j, swept[task_domain[j]], run.mu, run.sigma);
+      }
+    });
+    run.converged = sweeps > 1 && truth_converged(prev_mu, run.mu,
+                                                  opt.convergence_threshold);
+    if (history == nullptr && (run.converged || sweeps > opt.max_iterations)) {
+      run.iterations = sweeps - 1;  // the initial sweep is not an iteration
+      return run;
+    }
+    for_each_shard(shards, [&](std::size_t s) {
+      accumulate_shard(data, plan, s, task_domain, run.mu, run.sigma, run.num,
+                       run.den);
+      for (const DomainIndex k : plan.domains[s]) {
+        for (UserId i = 0; i < n; ++i) {
+          if (!(run.num[k][i] > 0.0)) continue;  // no data: keep the value
+          expertise[k][i] =
+              history != nullptr
+                  ? history->expertise_from(
+                        alpha * history->raw_num(i, k) + run.num[k][i],
+                        alpha * history->raw_den(i, k) + run.den[k][i])
+                  : expertise_update(opt, run.num[k][i], run.den[k][i]);
+          if (weighted) refresh_effective(i, k);
+        }
+      }
+    });
+    if (history != nullptr &&
+        (run.converged || sweeps == opt.max_iterations)) {
+      run.iterations = sweeps;
+      return run;
+    }
+  }
+}
+
+}  // namespace
+
 MleResult sharded_estimate(
     const Eta2Mle& mle, const ObservationSet& data,
     std::span<const DomainIndex> task_domain, std::size_t domain_count,
-    const ShardPlan& plan, ShardingTier tier,
-    const std::vector<std::vector<double>>& initial_expertise,
-    ShardStageStats* stats) {
+    const ShardPlan& plan,
+    const std::vector<std::vector<double>>& initial_expertise) {
+  check_plan(data, task_domain, domain_count, plan);
   const std::size_t n = data.user_count();
-  const std::size_t m = data.task_count();
-  const MleOptions& opt = mle.options();
-  require(task_domain.size() == m,
-          "sharded_estimate: task_domain size mismatch");
-  for (const DomainIndex k : task_domain) {
-    require(k < domain_count, "sharded_estimate: task domain out of range");
-  }
-  require(plan.domain_shard.size() >= domain_count,
-          "sharded_estimate: plan does not cover domain_count");
-  const std::size_t shards = plan.shard_count();
-  if (stats != nullptr) stats->shard_ns.assign(shards, 0.0);
-
+  Plane expertise = transposed(
+      mle.initial_expertise_matrix(n, domain_count, initial_expertise),
+      domain_count);
+  Sweeps run = iterate(mle, data, task_domain, plan, expertise, nullptr, 1.0,
+                       SweepWeights{});
   MleResult result;
-  result.expertise =
-      mle.initial_expertise_matrix(n, domain_count, initial_expertise);
-  const ShardedObservations obs(data, task_domain, plan);
-
-  // Initial Eq. 5 sweep (both tiers start from it, like the monolithic
-  // path's pre-loop sweep).
-  result.mu.assign(m, kNaN);
-  result.sigma.assign(m, kNaN);
-  run_shards(shards, stats, [&](std::size_t s) {
-    for (const TaskId j : plan.tasks[s]) {
-      mle.sweep_task(data, task_domain, result.expertise, j, result.mu,
-                     result.sigma);
-    }
-  });
-
-  if (tier == ShardingTier::kExact) {
-    // Shards fan out inside every iteration and re-join at the serial
-    // convergence scan, preserving the monolithic loop structure exactly.
-    std::vector<double> num(n * domain_count, 0.0);
-    std::vector<double> den(n * domain_count, 0.0);
-    std::vector<double> prev_mu;
-    for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-      result.iterations = iter;
-      std::fill(num.begin(), num.end(), 0.0);
-      std::fill(den.begin(), den.end(), 0.0);
-      // Eq. 6: each shard accumulates and refreshes only the (user, domain)
-      // cells of its own domains — disjoint across shards, and each cell
-      // receives its terms in ascending task order exactly as the
-      // monolithic user-major CSR loop does.
-      run_shards(shards, stats, [&](std::size_t s) {
-        for (UserId i = 0; i < n; ++i) {
-          const auto slice = obs.slice(s, i);
-          if (slice.empty()) continue;
-          double* num_row = num.data() + i * domain_count;
-          double* den_row = den.data() + i * domain_count;
-          for (const ShardedObservations::Entry& e : slice) {
-            if (!std::isfinite(e.value) || !std::isfinite(result.mu[e.task])) {
-              continue;
-            }
-            const DomainIndex k = task_domain[e.task];
-            ETA2_ASSERT(result.sigma[e.task] > 0.0);
-            const double z =
-                (e.value - result.mu[e.task]) / result.sigma[e.task];
-            num_row[k] += 1.0;
-            den_row[k] += z * z;
-          }
-          for (const std::size_t k : plan.domains[s]) {
-            if (num_row[k] <= 0.0) continue;  // no data: keep current value
-            result.expertise[i][k] =
-                mle.expertise_update(num_row[k], den_row[k]);
-          }
-        }
-      });
-      // Eq. 5 with the refreshed expertise.
-      prev_mu = result.mu;
-      result.mu.assign(m, kNaN);
-      result.sigma.assign(m, kNaN);
-      run_shards(shards, stats, [&](std::size_t s) {
-        for (const TaskId j : plan.tasks[s]) {
-          mle.sweep_task(data, task_domain, result.expertise, j, result.mu,
-                         result.sigma);
-        }
-      });
-      if (truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {
-        result.converged = true;
-        break;
-      }
-    }
-  } else {
-    // kDomainLocalV1: every shard runs its own Eq. 5/6 loop to local
-    // convergence; the reported iteration count is the max over shards.
-    std::vector<int> iters(shards, 0);
-    std::vector<char> conv(shards, 1);
-    run_shards(shards, stats, [&](std::size_t s) {
-      const std::vector<TaskId>& tasks = plan.tasks[s];
-      if (tasks.empty()) return;  // empty shard: trivially converged
-      const std::size_t ds = plan.domains[s].size();
-      std::vector<std::size_t> local(domain_count,
-                                     std::numeric_limits<std::size_t>::max());
-      for (std::size_t idx = 0; idx < ds; ++idx) {
-        local[plan.domains[s][idx]] = idx;
-      }
-      std::vector<double> num(n * ds, 0.0);
-      std::vector<double> den(n * ds, 0.0);
-      std::vector<double> prev(tasks.size(), 0.0);
-      bool converged_s = false;
-      int done = 0;
-      for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-        done = iter;
-        std::fill(num.begin(), num.end(), 0.0);
-        std::fill(den.begin(), den.end(), 0.0);
-        for (UserId i = 0; i < n; ++i) {
-          const auto slice = obs.slice(s, i);
-          if (slice.empty()) continue;
-          double* num_row = num.data() + i * ds;
-          double* den_row = den.data() + i * ds;
-          for (const ShardedObservations::Entry& e : slice) {
-            if (!std::isfinite(e.value) || !std::isfinite(result.mu[e.task])) {
-              continue;
-            }
-            const std::size_t li = local[task_domain[e.task]];
-            ETA2_ASSERT(result.sigma[e.task] > 0.0);
-            const double z =
-                (e.value - result.mu[e.task]) / result.sigma[e.task];
-            num_row[li] += 1.0;
-            den_row[li] += z * z;
-          }
-          for (std::size_t idx = 0; idx < ds; ++idx) {
-            if (num_row[idx] <= 0.0) continue;
-            // Shard-owned expertise columns: no other shard reads or
-            // writes domain plan.domains[s][idx].
-            result.expertise[i][plan.domains[s][idx]] =
-                mle.expertise_update(num_row[idx], den_row[idx]);
-          }
-        }
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-          prev[t] = result.mu[tasks[t]];
-        }
-        for (const TaskId j : tasks) {
-          result.mu[j] = kNaN;
-          result.sigma[j] = kNaN;
-          mle.sweep_task(data, task_domain, result.expertise, j, result.mu,
-                         result.sigma);
-        }
-        bool all_small = true;
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-          const double cur = result.mu[tasks[t]];
-          if (std::isnan(cur) || std::isnan(prev[t])) continue;
-          const double scale = std::max(std::fabs(prev[t]), 1e-8);
-          if (std::fabs(cur - prev[t]) / scale >= opt.convergence_threshold) {
-            all_small = false;
-            break;
-          }
-        }
-        if (all_small) {
-          converged_s = true;
-          break;
-        }
-      }
-      iters[s] = done;
-      conv[s] = converged_s ? 1 : 0;
-    });
-    for (std::size_t s = 0; s < shards; ++s) {
-      result.iterations = std::max(result.iterations, iters[s]);
-      if (conv[s] == 0) conv[0] = 0;
-    }
-    result.converged = conv.empty() || conv[0] != 0;
-  }
-
-  if (opt.anchor_mean > 0.0) {
+  result.expertise = transposed(expertise, n);
+  result.mu = std::move(run.mu);
+  result.sigma = std::move(run.sigma);
+  result.iterations = run.iterations;
+  result.converged = run.converged;
+  // Gauge anchoring over the (user, domain) cells holding a finite report,
+  // rescaling σ consistently (σ/u is the identified quantity).
+  if (mle.options().anchor_mean > 0.0) {
     std::vector<char> has_data(n * domain_count, 0);
-    run_shards(shards, stats, [&](std::size_t s) {
-      for (UserId i = 0; i < n; ++i) {
-        for (const ShardedObservations::Entry& e : obs.slice(s, i)) {
-          if (!std::isfinite(e.value)) continue;  // corrupt: no data
-          has_data[i * domain_count + task_domain[e.task]] = 1;
+    for_each_shard(plan.shard_count(), [&](std::size_t s) {
+      for (const TaskId j : plan.tasks[s]) {
+        for (const Observation& o : data.for_task(j)) {
+          if (!std::isfinite(o.value)) continue;  // corrupt: no data
+          has_data[o.user * domain_count + task_domain[j]] = 1;
         }
       }
     });
@@ -297,186 +244,53 @@ MleResult sharded_estimate(
 DynamicUpdateResult sharded_dynamic_update(
     ExpertiseStore& store, const ObservationSet& new_data,
     std::span<const DomainIndex> new_task_domain, double alpha,
-    const Eta2Mle& mle, const ShardPlan& plan, ShardingTier tier,
-    ShardStageStats* stats) {
+    const Eta2Mle& mle, const ShardPlan& plan, const SweepWeights& weights) {
   require(new_data.user_count() == store.user_count(),
           "sharded_dynamic_update: user count mismatch");
-  const MleOptions& opt = mle.options();
-  const std::size_t n = store.user_count();
   const std::size_t domains = store.domain_count();
-  const std::size_t m = new_data.task_count();
-  require(new_task_domain.size() == m,
-          "sharded_dynamic_update: task_domain size mismatch");
-  for (const DomainIndex k : new_task_domain) {
-    require(k < domains, "sharded_dynamic_update: domain out of range");
-  }
-  require(plan.domain_shard.size() >= domains,
-          "sharded_dynamic_update: plan does not cover the store's domains");
-  const std::size_t shards = plan.shard_count();
-  if (stats != nullptr) stats->shard_ns.assign(shards, 0.0);
-  const ShardedObservations obs(new_data, new_task_domain, plan);
-
-  DynamicUpdateResult result;
-  std::vector<std::vector<double>> expertise = store.snapshot();
-  Contributions contrib;
-  contrib.num.assign(n, std::vector<double>(domains, 0.0));
-  contrib.den.assign(n, std::vector<double>(domains, 0.0));
-
-  if (tier == ShardingTier::kExact) {
-    std::vector<double> prev_mu;
-    for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-      result.iterations = iter;
-      prev_mu = result.mu;
-      // Eq. 5 sweep of every shard's tasks with the current candidate
-      // expertise (disjoint mu/sigma writes).
-      result.mu.assign(m, kNaN);
-      result.sigma.assign(m, kNaN);
-      run_shards(shards, stats, [&](std::size_t s) {
-        for (const TaskId j : plan.tasks[s]) {
-          mle.sweep_task(new_data, new_task_domain, expertise, j, result.mu,
-                         result.sigma);
-        }
-      });
-      // Eq. 7–8 contributions: shard-owned (user, domain) cells, terms in
-      // ascending task order — bit-identical to the monolithic task-major
-      // expertise_contributions() loop.
-      for (UserId i = 0; i < n; ++i) {
-        std::fill(contrib.num[i].begin(), contrib.num[i].end(), 0.0);
-        std::fill(contrib.den[i].begin(), contrib.den[i].end(), 0.0);
-      }
-      run_shards(shards, stats, [&](std::size_t s) {
-        for (UserId i = 0; i < n; ++i) {
-          for (const ShardedObservations::Entry& e : obs.slice(s, i)) {
-            const TaskId j = e.task;
-            if (std::isnan(result.mu[j]) || std::isnan(result.sigma[j]) ||
-                result.sigma[j] <= 0.0) {
-              continue;
-            }
-            if (!std::isfinite(e.value)) continue;  // corrupt x_ij
-            const DomainIndex k = new_task_domain[j];
-            const double z = (e.value - result.mu[j]) / result.sigma[j];
-            contrib.num[i][k] += 1.0;
-            contrib.den[i][k] += z * z;
-          }
-        }
-      });
-      // Candidate expertise from decayed history + this iteration's
-      // contributions (Eq. 9) — serial, exactly the monolithic scratch
-      // store evaluation.
-      ExpertiseStore scratch = store;
-      scratch.decay_and_accumulate(alpha, contrib.num, contrib.den);
-      expertise = scratch.snapshot();
-      if (!prev_mu.empty() &&
-          truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {
-        result.converged = true;
-        break;
-      }
-    }
-  } else {
-    // kDomainLocalV1: per-shard local loops; each shard evaluates candidate
-    // expertise for its own columns straight from the store's raw
-    // accumulators (no scratch store copy) and iterates to local
-    // convergence. The final local contributions are merged into the
-    // global matrices (shard-owned columns, no overlap) for one commit.
-    result.mu.assign(m, kNaN);
-    result.sigma.assign(m, kNaN);
-    std::vector<int> iters(shards, 0);
-    std::vector<char> conv(shards, 1);
-    run_shards(shards, stats, [&](std::size_t s) {
-      const std::vector<TaskId>& tasks = plan.tasks[s];
-      if (tasks.empty()) return;
-      const std::size_t ds = plan.domains[s].size();
-      std::vector<std::size_t> local(domains,
-                                     std::numeric_limits<std::size_t>::max());
-      for (std::size_t idx = 0; idx < ds; ++idx) {
-        local[plan.domains[s][idx]] = idx;
-      }
-      std::vector<double> c_num(n * ds, 0.0);
-      std::vector<double> c_den(n * ds, 0.0);
-      std::vector<double> prev(tasks.size(), 0.0);
-      bool converged_s = false;
-      int done = 0;
-      for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-        done = iter;
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-          prev[t] = result.mu[tasks[t]];
-        }
-        for (const TaskId j : tasks) {
-          result.mu[j] = kNaN;
-          result.sigma[j] = kNaN;
-          mle.sweep_task(new_data, new_task_domain, expertise, j, result.mu,
-                         result.sigma);
-        }
-        std::fill(c_num.begin(), c_num.end(), 0.0);
-        std::fill(c_den.begin(), c_den.end(), 0.0);
-        for (UserId i = 0; i < n; ++i) {
-          for (const ShardedObservations::Entry& e : obs.slice(s, i)) {
-            const TaskId j = e.task;
-            if (std::isnan(result.mu[j]) || std::isnan(result.sigma[j]) ||
-                result.sigma[j] <= 0.0) {
-              continue;
-            }
-            if (!std::isfinite(e.value)) continue;
-            const std::size_t li = local[new_task_domain[j]];
-            const double z = (e.value - result.mu[j]) / result.sigma[j];
-            c_num[i * ds + li] += 1.0;
-            c_den[i * ds + li] += z * z;
-          }
-        }
-        for (UserId i = 0; i < n; ++i) {
-          for (std::size_t idx = 0; idx < ds; ++idx) {
-            const std::size_t k = plan.domains[s][idx];
-            expertise[i][k] = store.expertise_from(
-                alpha * store.raw_num(i, k) + c_num[i * ds + idx],
-                alpha * store.raw_den(i, k) + c_den[i * ds + idx]);
-          }
-        }
-        if (iter > 1) {
-          bool all_small = true;
-          for (std::size_t t = 0; t < tasks.size(); ++t) {
-            const double cur = result.mu[tasks[t]];
-            if (std::isnan(cur) || std::isnan(prev[t])) continue;
-            const double scale = std::max(std::fabs(prev[t]), 1e-8);
-            if (std::fabs(cur - prev[t]) / scale >=
-                opt.convergence_threshold) {
-              all_small = false;
-              break;
-            }
-          }
-          if (all_small) {
-            converged_s = true;
-            break;
-          }
-        }
-      }
-      iters[s] = done;
-      conv[s] = converged_s ? 1 : 0;
-      for (UserId i = 0; i < n; ++i) {
-        for (std::size_t idx = 0; idx < ds; ++idx) {
-          const std::size_t k = plan.domains[s][idx];
-          contrib.num[i][k] = c_num[i * ds + idx];
-          contrib.den[i][k] = c_den[i * ds + idx];
-        }
-      }
-    });
-    for (std::size_t s = 0; s < shards; ++s) {
-      result.iterations = std::max(result.iterations, iters[s]);
-      if (conv[s] == 0) conv[0] = 0;
-    }
-    result.converged = conv.empty() || conv[0] != 0;
-  }
-
+  check_plan(new_data, new_task_domain, domains, plan);
+  Plane expertise = transposed(store.snapshot(), domains);
+  Sweeps run = iterate(mle, new_data, new_task_domain, plan, expertise,
+                       &store, alpha, weights);
   // Commit the final contributions with one real decay step, then re-anchor
-  // the gauge and keep the reported σ consistent with the anchored
-  // expertise — byte-for-byte the monolithic dynamic_update() tail.
-  store.decay_and_accumulate(alpha, contrib.num, contrib.den);
+  // the gauge (the incremental updates otherwise drift it upward) and keep
+  // the reported σ consistent with the anchored expertise.
+  const std::size_t n = store.user_count();
+  store.decay_and_accumulate(alpha, transposed(run.num, n),
+                             transposed(run.den, n));
+  const MleOptions& opt = mle.options();
   if (opt.anchor_mean > 0.0) {
     const double c = store.anchor(opt.anchor_mean);
-    for (double& s : result.sigma) {
+    for (double& s : run.sigma) {
       if (!std::isnan(s)) s = std::max(opt.sigma_min, s / c);
     }
   }
+  DynamicUpdateResult result;
+  result.mu = std::move(run.mu);
+  result.sigma = std::move(run.sigma);
+  result.iterations = run.iterations;
+  result.converged = run.converged;
   return result;
+}
+
+void accumulate_fit(ExpertiseStore& store, const ObservationSet& data,
+                    std::span<const DomainIndex> task_domain,
+                    std::span<const double> mu,
+                    std::span<const double> sigma) {
+  require(data.user_count() == store.user_count(),
+          "accumulate_fit: user count mismatch");
+  require(mu.size() == data.task_count() && sigma.size() == data.task_count(),
+          "accumulate_fit: mu/sigma size mismatch");
+  const std::size_t n = data.user_count();
+  const std::size_t domains = store.domain_count();
+  const ShardPlan plan = ShardPlan::build(task_domain, domains, 0);
+  check_plan(data, task_domain, domains, plan);
+  Plane num(domains, std::vector<double>(n, 0.0));
+  Plane den = num;
+  for_each_shard(plan.shard_count(), [&](std::size_t s) {
+    accumulate_shard(data, plan, s, task_domain, mu, sigma, num, den);
+  });
+  store.decay_and_accumulate(1.0, transposed(num, n), transposed(den, n));
 }
 
 }  // namespace eta2::truth

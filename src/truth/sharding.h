@@ -1,23 +1,23 @@
-// Domain-sharded execution of the truth stages (DESIGN.md §12).
+// The Eq. 5–9 engine (DESIGN.md §12): the one implementation of the
+// paper's truth analysis, run domain-sharded.
 //
 // ETA²'s per-step work factors by domain: Eq. 5 is independent per task,
-// Eq. 6 accumulates per (user, domain) cell, and the only cross-domain
-// couplings are the global convergence check and the gauge anchor. This
-// module partitions one batch's tasks into per-domain shards with a stable
-// ordering, slices the user-major observation CSR by shard, and runs the
-// truth stages one-pool-task-per-shard with a deterministic in-order merge.
-//
-// The default ShardingTier::kExact keeps the monolithic iteration structure
-// (shards fan out per iteration, re-joining at a serial convergence scan in
-// global task order and a serial gauge-anchor fold), which makes results
-// bit-identical to the unsharded reference at any thread or shard count:
-// every per-task and per-cell reduction receives its terms in exactly the
-// order the monolithic loops used.
+// Eq. 6 (and its decayed form, Eqs. 7–9) accumulates per (user, domain)
+// cell, and the only cross-domain couplings are the global convergence
+// check and the gauge anchor. This module partitions one batch's tasks into
+// per-domain shards with a stable ordering and fans every sweep out one
+// pool task per shard. Each iteration re-joins at a serial convergence scan
+// in global task order and the gauge anchor folds serially, so every
+// per-task and per-cell reduction receives its terms in task order: results
+// are bit-identical at any thread or shard count. Eta2Mle::estimate,
+// truth::dynamic_update and TrustLedger::trusted_dynamic_update run this
+// engine over one shard per domain; the pre-engine monolithic loops they
+// replaced live on as test oracles in tests/truth/truth_oracle.h.
 #ifndef ETA2_TRUTH_SHARDING_H
 #define ETA2_TRUTH_SHARDING_H
 
-#include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -27,31 +27,14 @@
 
 namespace eta2::truth {
 
-// Versioned contract for how far sharded execution may deviate from the
-// monolithic reference path, mirroring stats::FastMathTier: any tier other
-// than kExact has its own pinned transcripts, and any change to a tier's
-// numerics must mint a new enumerator rather than silently shifting results.
-enum class ShardingTier : std::uint8_t {
-  // Bit-identical to the monolithic path at any thread/shard count: shards
-  // fan out per iteration and re-join at a serial convergence/anchor merge.
-  kExact = 0,
-  // Per-shard-local convergence loops: each shard iterates Eqs. 5–6 to its
-  // own convergence with no cross-shard iteration barrier; the reported
-  // iteration count is the maximum over shards. Faster on skewed domains,
-  // still deterministic at any thread count, but NOT bit-identical to
-  // kExact — pinned by its own transcripts.
-  kDomainLocalV1 = 1,
-};
-
-[[nodiscard]] const char* to_string(ShardingTier tier);
-
 // Stable partition of one batch's tasks by domain label. Domain k lives in
 // shard k % shard_count (shard_count = 0 requests one shard per domain);
 // shards are ordered by shard id and both the per-shard domain and task
 // lists are ascending. Task lists ascending matters: each shard visiting
 // its tasks in ascending order visits, per (user, domain) cell, exactly the
-// subsequence of the monolithic task-major order that touches that cell —
-// which is what makes the kExact tier's accumulations bit-identical.
+// subsequence of the task-major order that touches that cell — which is
+// what makes the accumulations independent of the shard layout. A shard
+// owns whole domains, so it reads the task-major ObservationSet directly.
 struct ShardPlan {
   std::vector<std::vector<std::size_t>> domains;  // per shard, ascending
   std::vector<std::vector<TaskId>> tasks;         // per shard, ascending
@@ -59,49 +42,13 @@ struct ShardPlan {
 
   [[nodiscard]] std::size_t shard_count() const { return tasks.size(); }
 
-  // `shard_count` = 0: one shard per domain (the default); G > 0: exactly G
-  // shards (shards without any domain/task are legal and act as no-ops).
+  // `shard_count` = 0: one shard per domain (what the library runs); G > 0:
+  // exactly G shards (shards without any domain/task are legal no-ops) —
+  // the seam the layout-independence tests drive.
   // Requires every task_domain[j] < domain_count.
   [[nodiscard]] static ShardPlan build(std::span<const DomainIndex> task_domain,
                                        std::size_t domain_count,
                                        std::size_t shard_count);
-};
-
-// User-major CSR of one batch's observations sliced by shard: slice(s, i)
-// lists user i's observations on shard s's tasks, tasks ascending (and in
-// per-task storage order within one task). Built once per step from the
-// task-major ObservationSet; no dense planes are copied.
-class ShardedObservations {
- public:
-  struct Entry {
-    TaskId task = 0;
-    double value = 0.0;
-  };
-
-  ShardedObservations(const ObservationSet& data,
-                      std::span<const DomainIndex> task_domain,
-                      const ShardPlan& plan);
-
-  [[nodiscard]] std::span<const Entry> slice(std::size_t shard,
-                                             UserId user) const {
-    const std::size_t cell = shard * user_count_ + user;
-    return {entries_.data() + offset_[cell], offset_[cell + 1] - offset_[cell]};
-  }
-  [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
-  [[nodiscard]] std::size_t user_count() const { return user_count_; }
-
- private:
-  std::size_t shard_count_ = 0;
-  std::size_t user_count_ = 0;
-  std::vector<std::size_t> offset_;  // (shard · user_count + user) prefix
-  std::vector<Entry> entries_;
-};
-
-// Per-shard wall-clock observability for one sharded stage. Timings are
-// inherently nondeterministic: they ride in StepHealth for reporting but
-// must never enter serialized state, durable digests, or transcripts.
-struct ShardStageStats {
-  std::vector<double> shard_ns;  // accumulated per-shard body time
 };
 
 // Dispatches fn(shard) for every shard in [0, shard_count) — one pool task
@@ -112,25 +59,45 @@ struct ShardStageStats {
 void for_each_shard(std::size_t shard_count,
                     const std::function<void(std::size_t)>& fn);
 
-// Sharded counterpart of Eta2Mle::estimate(). Under kExact the result is
-// bit-identical to mle.estimate(...) for any plan and thread count.
-// Requires every task_domain[j] < domain_count (also for unobserved tasks,
-// slightly stricter than the monolithic entry point).
+// Optional weighting of the Eq. 5 sweeps: every truth sweep sees
+//   eff(i, k) = min(u_i^k, influence_cap) · user_weight[i]
+// instead of u_i^k, while Eqs. 6–9 keep learning the raw u. The default
+// (no weights, infinite cap) is the plain sweep; a weight of exactly 1.0
+// and an infinite cap are exact in IEEE arithmetic, so a neutral weighting
+// is bit-identical to none. TrustLedger::trusted_dynamic_update passes
+// sqrt(max(trust, trust_floor)) and its influence cap.
+struct SweepWeights {
+  std::vector<double> user_weight;  // per user; empty = no weighting
+  double influence_cap = std::numeric_limits<double>::infinity();
+};
+
+// Batch mode (paper §4.1): the Eq. 5/6 joint estimate, starting from
+// `initial_expertise` (empty = the flat prior) and anchoring the gauge on
+// the (user, domain) cells with data. Requires every task_domain[j] <
+// domain_count and a plan built for domain_count domains.
 [[nodiscard]] MleResult sharded_estimate(
     const Eta2Mle& mle, const ObservationSet& data,
     std::span<const DomainIndex> task_domain, std::size_t domain_count,
-    const ShardPlan& plan, ShardingTier tier,
-    const std::vector<std::vector<double>>& initial_expertise = {},
-    ShardStageStats* stats = nullptr);
+    const ShardPlan& plan,
+    const std::vector<std::vector<double>>& initial_expertise = {});
 
-// Sharded counterpart of truth::dynamic_update(). Under kExact both the
-// returned result and the store mutation are bit-identical to the
-// monolithic reference for any plan and thread count.
+// Decayed-history mode (paper §4.2): iterate Eq. 5 against the Eq. 7–9
+// candidates α·history + this batch's (N, D) until the truth converges,
+// then commit one decay step into `store` and re-anchor the gauge. The plan
+// must cover the store's domains.
 [[nodiscard]] DynamicUpdateResult sharded_dynamic_update(
     ExpertiseStore& store, const ObservationSet& new_data,
     std::span<const DomainIndex> new_task_domain, double alpha,
-    const Eta2Mle& mle, const ShardPlan& plan, ShardingTier tier,
-    ShardStageStats* stats = nullptr);
+    const Eta2Mle& mle, const ShardPlan& plan,
+    const SweepWeights& weights = {});
+
+// Adds one batch's Eq. 7–8 (N, D) against a fixed truth (mu, sigma) to
+// `store` without decay — the warm-up step's seeding of the accumulators
+// from its joint fit (paper §2.2). Tasks without a truth estimate and
+// corrupt values add nothing.
+void accumulate_fit(ExpertiseStore& store, const ObservationSet& data,
+                    std::span<const DomainIndex> task_domain,
+                    std::span<const double> mu, std::span<const double> sigma);
 
 }  // namespace eta2::truth
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "truth/sharding.h"
 
 namespace eta2::truth {
 namespace {
@@ -214,61 +215,22 @@ TrustFilterResult TrustLedger::filter(
   return result;
 }
 
-std::vector<std::vector<double>> TrustLedger::effective_expertise(
-    const std::vector<std::vector<double>>& expertise) const {
-  std::vector<std::vector<double>> eff = expertise;
-  for (std::size_t u = 0; u < eff.size(); ++u) {
-    const double weight =
-        std::sqrt(std::max(trust(u), options_.trust_floor));
-    for (double& cell : eff[u]) {
-      cell = std::min(cell, options_.influence_cap) * weight;
-    }
-  }
-  return eff;
-}
-
 DynamicUpdateResult TrustLedger::trusted_dynamic_update(
     ExpertiseStore& store, const ObservationSet& data,
     std::span<const DomainIndex> task_domain, double alpha,
     const Eta2Mle& mle) const {
   require(data.user_count() == store.user_count(),
           "trusted_dynamic_update: user count mismatch");
-  const MleOptions& opt = mle.options();
-  const std::size_t n = store.user_count();
-  const std::size_t domains = store.domain_count();
-
-  DynamicUpdateResult result;
-  std::vector<std::vector<double>> expertise = store.snapshot();
-  Contributions contrib;
-  std::vector<double> prev_mu;
-
-  for (int iter = 1; iter <= opt.max_iterations; ++iter) {
-    result.iterations = iter;
-    prev_mu = result.mu;
-    // The one deviation from truth::dynamic_update: every truth sweep sees
-    // the capped, trust-weighted expertise instead of the raw estimates.
-    mle.estimate_truth_only(data, task_domain, effective_expertise(expertise),
-                            result.mu, result.sigma);
-    contrib = expertise_contributions(data, task_domain, result.mu,
-                                      result.sigma, n, domains);
-    ExpertiseStore scratch = store;
-    scratch.decay_and_accumulate(alpha, contrib.num, contrib.den);
-    expertise = scratch.snapshot();
-
-    if (!prev_mu.empty() &&
-        truth_converged(prev_mu, result.mu, opt.convergence_threshold)) {
-      result.converged = true;
-      break;
-    }
+  SweepWeights weights;
+  weights.influence_cap = options_.influence_cap;
+  weights.user_weight.resize(store.user_count());
+  for (UserId u = 0; u < weights.user_weight.size(); ++u) {
+    weights.user_weight[u] =
+        std::sqrt(std::max(trust(u), options_.trust_floor));
   }
-  store.decay_and_accumulate(alpha, contrib.num, contrib.den);
-  if (opt.anchor_mean > 0.0) {
-    const double c = store.anchor(opt.anchor_mean);
-    for (double& s : result.sigma) {
-      if (!std::isnan(s)) s = std::max(opt.sigma_min, s / c);
-    }
-  }
-  return result;
+  return sharded_dynamic_update(
+      store, data, task_domain, alpha, mle,
+      ShardPlan::build(task_domain, store.domain_count(), 0), weights);
 }
 
 void TrustLedger::quarantine_user(UserId user) {

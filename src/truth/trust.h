@@ -48,9 +48,8 @@
 namespace eta2::truth {
 
 // How far the defended truth path may deviate from the plain Eq. 5/6
-// reference. Versioned exactly like truth::ShardingTier: the default is
-// bit-identical to a defense-free build, every other tier pins its own
-// transcript.
+// reference. Versioned: the default is bit-identical to a defense-free
+// build, every other tier pins its own transcript.
 enum class DefenseTier : int {
   // No defenses: no ledger exists, no filtering, no discounting. Golden
   // transcripts and v1/v2 save blobs are byte-identical to pre-trust
@@ -58,7 +57,7 @@ enum class DefenseTier : int {
   kOff = 0,
   // v1 trimmed estimation: quarantine-filter + per-task residual trim +
   // influence-capped trust-weighted sweeps (pinned transcript
-  // tests/truth/trust_test.cpp).
+  // tests/truth/trimmed_v1_golden.h).
   kTrimmedV1 = 1,
 };
 
@@ -156,11 +155,10 @@ class TrustLedger {
       const std::vector<std::vector<double>>& expertise,
       const Eta2Mle& mle) const;
 
-  // kTrimmedV1 Eq. 5/6: the dynamic update re-run with effective expertise
+  // kTrimmedV1 Eq. 5/6: truth::dynamic_update with effective expertise
   //   eff(i, k) = min(u_i^k, influence_cap) · sqrt(max(trust_i, trust_floor))
-  // in every truth sweep. Structure mirrors truth::dynamic_update —
-  // iterate (truth sweep, candidate accumulators) to convergence on a
-  // scratch store, commit one real decay step, re-anchor the gauge.
+  // in every truth sweep — the sharded engine's weighted mode
+  // (truth/sharding.h, SweepWeights) over one shard per domain.
   [[nodiscard]] DynamicUpdateResult trusted_dynamic_update(
       ExpertiseStore& store, const ObservationSet& data,
       std::span<const DomainIndex> task_domain, double alpha,
@@ -194,10 +192,6 @@ class TrustLedger {
     double co_wrong = 0.0;     // decayed "wrong together, same sign" mass
     double co_observed = 0.0;  // decayed shared-task mass (same pairs only)
   };
-
-  // Effective expertise for the trusted sweeps (see trusted_dynamic_update).
-  [[nodiscard]] std::vector<std::vector<double>> effective_expertise(
-      const std::vector<std::vector<double>>& expertise) const;
 
   void quarantine_user(UserId user);
 

@@ -1,4 +1,4 @@
-#include "alloc/bruteforce.h"
+#include "bruteforce.h"
 
 #include <gtest/gtest.h>
 

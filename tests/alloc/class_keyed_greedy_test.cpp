@@ -16,6 +16,7 @@
 #include "alloc/max_quality.h"
 #include "alloc/min_cost.h"
 #include "common/rng.h"
+#include "rescan_greedy.h"
 
 namespace eta2::alloc {
 namespace {
@@ -59,12 +60,18 @@ AllocationProblem expand(const AllocationProblem& keyed) {
   return p;
 }
 
+// greedy_extend (the CELF engine) or rescan_greedy_extend (the oracle).
+using ExtendFn = std::size_t (*)(const AllocationProblem&,
+                                 const GreedyOptions&, Allocation&,
+                                 GreedyStats*);
+constexpr ExtendFn kEngines[] = {greedy_extend, rescan_greedy_extend};
+
 // The global selection order: with unit costs and cost_cap = 1 every
 // greedy_extend call adds exactly one pair to the running allocation (the
 // min-cost calling pattern), so the sequence is read off one call at a time.
 std::vector<Pair> selection_sequence(const AllocationProblem& p,
                                      GreedyOptions options,
-                                     Allocation allocation) {
+                                     Allocation allocation, ExtendFn extend) {
   options.cost_cap = 1.0;
   std::vector<Pair> sequence;
   for (;;) {
@@ -72,7 +79,7 @@ std::vector<Pair> selection_sequence(const AllocationProblem& p,
     for (TaskId j = 0; j < p.task_count(); ++j) {
       before[j] = allocation.users_of(j).size();
     }
-    if (greedy_extend(p, options, allocation) == 0) break;
+    if (extend(p, options, allocation, nullptr) == 0) break;
     for (TaskId j = 0; j < p.task_count(); ++j) {
       if (allocation.users_of(j).size() != before[j]) {
         sequence.emplace_back(allocation.users_of(j).back(), j);
@@ -96,44 +103,48 @@ void expect_identical(const Allocation& a, const Allocation& b) {
   }
 }
 
-// Pair sequence and one-shot allocation + counters, keyed vs expanded.
+// Pair sequence and one-shot allocation + counters, keyed vs expanded,
+// under the CELF engine and the rescan oracle: all four runs pick the same
+// sequence, and each engine's counters agree across the two layouts.
 void expect_same_selections(const AllocationProblem& keyed,
                             const GreedyOptions& options,
                             const Allocation& seeded) {
   const AllocationProblem expanded = expand(keyed);
-  const std::vector<Pair> keyed_sequence =
-      selection_sequence(keyed, options, seeded);
-  EXPECT_EQ(keyed_sequence, selection_sequence(expanded, options, seeded));
-  EXPECT_FALSE(keyed_sequence.empty());
-
-  Allocation a = seeded;
-  Allocation b = seeded;
-  GreedyStats keyed_stats;
-  GreedyStats expanded_stats;
-  EXPECT_EQ(greedy_extend(keyed, options, a, &keyed_stats),
-            greedy_extend(expanded, options, b, &expanded_stats));
-  expect_identical(a, b);
-  EXPECT_EQ(keyed_stats.selections, expanded_stats.selections);
-  EXPECT_EQ(keyed_stats.gain_evaluations, expanded_stats.gain_evaluations);
-  EXPECT_EQ(keyed_stats.heap_pops, expanded_stats.heap_pops);
-  EXPECT_EQ(allocation_objective(keyed, a, options.epsilon),
-            allocation_objective(expanded, b, options.epsilon));
+  const std::vector<Pair> reference =
+      selection_sequence(keyed, options, seeded, greedy_extend);
+  EXPECT_FALSE(reference.empty());
+  Allocation celf = seeded;
+  greedy_extend(keyed, options, celf);
+  for (const ExtendFn extend : kEngines) {
+    EXPECT_EQ(reference, selection_sequence(keyed, options, seeded, extend));
+    EXPECT_EQ(reference,
+              selection_sequence(expanded, options, seeded, extend));
+    Allocation a = seeded;
+    Allocation b = seeded;
+    GreedyStats keyed_stats;
+    GreedyStats expanded_stats;
+    EXPECT_EQ(extend(keyed, options, a, &keyed_stats),
+              extend(expanded, options, b, &expanded_stats));
+    expect_identical(a, b);
+    expect_identical(celf, a);
+    EXPECT_EQ(keyed_stats.selections, expanded_stats.selections);
+    EXPECT_EQ(keyed_stats.gain_evaluations, expanded_stats.gain_evaluations);
+    EXPECT_EQ(keyed_stats.heap_pops, expanded_stats.heap_pops);
+    EXPECT_EQ(allocation_objective(keyed, a, options.epsilon),
+              allocation_objective(expanded, b, options.epsilon));
+  }
 }
 
 TEST(ClassKeyedGreedyTest, MatchesPerTaskColumnsUnderBothEngines) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const AllocationProblem keyed = keyed_problem(seed, 9, 20, 4);
-    for (const GreedyImpl impl : {GreedyImpl::kLazy, GreedyImpl::kRescan}) {
-      for (const bool per_time : {true, false}) {
-        GreedyOptions options;
-        options.impl = impl;
-        options.efficiency_per_time = per_time;
-        SCOPED_TRACE(testing::Message() << "seed " << seed << " impl "
-                                        << static_cast<int>(impl)
-                                        << " per_time " << per_time);
-        expect_same_selections(
-            keyed, options, Allocation(keyed.user_count(), keyed.task_count()));
-      }
+    for (const bool per_time : {true, false}) {
+      GreedyOptions options;
+      options.efficiency_per_time = per_time;
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " per_time " << per_time);
+      expect_same_selections(
+          keyed, options, Allocation(keyed.user_count(), keyed.task_count()));
     }
   }
 }
@@ -144,17 +155,19 @@ TEST(ClassKeyedGreedyTest, RespectsCostCapLikePerTaskColumns) {
   keyed.task_cost.resize(keyed.task_count());
   for (double& c : keyed.task_cost) c = rng.uniform(0.5, 2.0);
   const AllocationProblem expanded = expand(keyed);
-  for (const GreedyImpl impl : {GreedyImpl::kLazy, GreedyImpl::kRescan}) {
-    GreedyOptions options;
-    options.impl = impl;
-    options.cost_cap = 6.0;
+  GreedyOptions options;
+  options.cost_cap = 6.0;
+  Allocation celf(keyed.user_count(), keyed.task_count());
+  greedy_extend(keyed, options, celf);
+  for (const ExtendFn extend : kEngines) {
     Allocation a(keyed.user_count(), keyed.task_count());
     Allocation b(keyed.user_count(), keyed.task_count());
-    const std::size_t added = greedy_extend(keyed, options, a);
-    EXPECT_EQ(added, greedy_extend(expanded, options, b));
+    const std::size_t added = extend(keyed, options, a, nullptr);
+    EXPECT_EQ(added, extend(expanded, options, b, nullptr));
     EXPECT_GT(added, 0u);
     EXPECT_LT(added, 16u);  // the cap binds mid-stream
     expect_identical(a, b);
+    expect_identical(celf, a);
   }
 }
 
@@ -164,11 +177,7 @@ TEST(ClassKeyedGreedyTest, ExtendsPreSeededAllocationLikeMinCost) {
   seeded.assign(0, 0, keyed.task_time[0], keyed.cost_of(0));
   seeded.assign(2, 3, keyed.task_time[3], keyed.cost_of(3));
   seeded.assign(5, 3, keyed.task_time[3], keyed.cost_of(3));
-  for (const GreedyImpl impl : {GreedyImpl::kLazy, GreedyImpl::kRescan}) {
-    GreedyOptions options;
-    options.impl = impl;
-    expect_same_selections(keyed, options, seeded);
-  }
+  expect_same_selections(keyed, GreedyOptions{}, seeded);
 }
 
 TEST(ClassKeyedGreedyTest, TiedExpertiseAcrossUsers) {
@@ -176,13 +185,10 @@ TEST(ClassKeyedGreedyTest, TiedExpertiseAcrossUsers) {
     // Four expertise levels over 10 users: every class has ties, so the
     // lowest-index tie-break decides most picks.
     const AllocationProblem keyed = keyed_problem(seed, 10, 18, 3, 4);
-    for (const GreedyImpl impl : {GreedyImpl::kLazy, GreedyImpl::kRescan}) {
-      GreedyOptions options;
-      options.impl = impl;
-      SCOPED_TRACE(testing::Message() << "seed " << seed);
-      expect_same_selections(
-          keyed, options, Allocation(keyed.user_count(), keyed.task_count()));
-    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    expect_same_selections(
+        keyed, GreedyOptions{},
+        Allocation(keyed.user_count(), keyed.task_count()));
   }
 }
 
@@ -194,13 +200,9 @@ TEST(ClassKeyedGreedyTest, SingleClassAndOneClassPerTask) {
   AllocationProblem per_task = keyed_problem(19, 8, tasks, tasks);
   for (TaskId j = 0; j < tasks; ++j) per_task.task_class[j] = (j * 5) % tasks;
   for (const AllocationProblem* keyed : {&single, &per_task}) {
-    for (const GreedyImpl impl : {GreedyImpl::kLazy, GreedyImpl::kRescan}) {
-      GreedyOptions options;
-      options.impl = impl;
-      expect_same_selections(
-          *keyed, options,
-          Allocation(keyed->user_count(), keyed->task_count()));
-    }
+    expect_same_selections(
+        *keyed, GreedyOptions{},
+        Allocation(keyed->user_count(), keyed->task_count()));
   }
 }
 
@@ -218,6 +220,8 @@ TEST(ClassKeyedGreedyTest, MaxQualityAllocatorMatchesPerTaskColumns) {
                        allocator.allocate(expanded, &expanded_stats));
       EXPECT_EQ(keyed_stats.selections, expanded_stats.selections);
       EXPECT_EQ(keyed_stats.gain_evaluations, expanded_stats.gain_evaluations);
+      expect_identical(allocator.allocate(keyed),
+                       rescan_allocate(keyed, options));
     }
   }
 }

@@ -1,5 +1,6 @@
-// CELF-vs-rescan equivalence suite (DESIGN.md §11): the lazy greedy must
-// produce byte-identical Allocations to the rescanning reference — same
+// CELF-vs-rescan equivalence suite (DESIGN.md §11): the library's lazy
+// greedy must produce byte-identical Allocations to the rescanning oracle
+// of rescan_greedy.h — same
 // pairs in the same selection order — across random problems, both
 // efficiency modes, cost caps that bind mid-stream, degenerate inputs, and
 // thread counts, while evaluating far fewer gains.
@@ -13,6 +14,7 @@
 #include "alloc/max_quality.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "rescan_greedy.h"
 
 namespace eta2::alloc {
 namespace {
@@ -57,11 +59,15 @@ struct RunResult {
   std::size_t added = 0;
 };
 
-RunResult run(const AllocationProblem& p, GreedyOptions options,
-              GreedyImpl impl) {
-  options.impl = impl;
+// greedy_extend (the CELF engine) or rescan_greedy_extend (the oracle).
+using ExtendFn = std::size_t (*)(const AllocationProblem&,
+                                 const GreedyOptions&, Allocation&,
+                                 GreedyStats*);
+
+RunResult run(const AllocationProblem& p, const GreedyOptions& options,
+              ExtendFn extend) {
   RunResult result{Allocation(p.user_count(), p.task_count()), {}, 0};
-  result.added = greedy_extend(p, options, result.allocation, &result.stats);
+  result.added = extend(p, options, result.allocation, &result.stats);
   return result;
 }
 
@@ -73,8 +79,8 @@ TEST_P(LazyGreedySweep, MatchesRescanByteForByte) {
   const AllocationProblem p = random_problem(seed, 9, 14);
   GreedyOptions options;
   options.efficiency_per_time = per_time;
-  const RunResult lazy = run(p, options, GreedyImpl::kLazy);
-  const RunResult rescan = run(p, options, GreedyImpl::kRescan);
+  const RunResult lazy = run(p, options, greedy_extend);
+  const RunResult rescan = run(p, options, rescan_greedy_extend);
   EXPECT_EQ(lazy.added, rescan.added) << "seed " << seed;
   EXPECT_EQ(lazy.stats.selections, rescan.stats.selections);
   expect_identical(lazy.allocation, rescan.allocation);
@@ -96,8 +102,8 @@ TEST(LazyGreedyTest, CostCapBindingMidStreamMatches) {
     for (const double cap : {0.0, 1.0, 3.5, 7.0}) {
       GreedyOptions options;
       options.cost_cap = cap;
-      const RunResult lazy = run(p, options, GreedyImpl::kLazy);
-      const RunResult rescan = run(p, options, GreedyImpl::kRescan);
+      const RunResult lazy = run(p, options, greedy_extend);
+      const RunResult rescan = run(p, options, rescan_greedy_extend);
       EXPECT_EQ(lazy.added, rescan.added) << "seed " << seed << " cap " << cap;
       expect_identical(lazy.allocation, rescan.allocation);
     }
@@ -109,8 +115,8 @@ TEST(LazyGreedyTest, DegenerateProblemsMatch) {
   {
     AllocationProblem p = random_problem(3, 5, 7);
     p.user_capacity.assign(5, 0.0);
-    const RunResult lazy = run(p, {}, GreedyImpl::kLazy);
-    const RunResult rescan = run(p, {}, GreedyImpl::kRescan);
+    const RunResult lazy = run(p, {}, greedy_extend);
+    const RunResult rescan = run(p, {}, rescan_greedy_extend);
     EXPECT_EQ(lazy.added, 0u);
     EXPECT_EQ(rescan.added, 0u);
     expect_identical(lazy.allocation, rescan.allocation);
@@ -118,8 +124,8 @@ TEST(LazyGreedyTest, DegenerateProblemsMatch) {
   // Single task: every feasible user is assigned in p-descending order.
   {
     const AllocationProblem p = random_problem(4, 6, 1);
-    const RunResult lazy = run(p, {}, GreedyImpl::kLazy);
-    const RunResult rescan = run(p, {}, GreedyImpl::kRescan);
+    const RunResult lazy = run(p, {}, greedy_extend);
+    const RunResult rescan = run(p, {}, rescan_greedy_extend);
     EXPECT_GT(lazy.added, 0u);
     expect_identical(lazy.allocation, rescan.allocation);
   }
@@ -127,8 +133,8 @@ TEST(LazyGreedyTest, DegenerateProblemsMatch) {
   {
     AllocationProblem p = random_problem(5, 5, 6);
     for (double& u : p.expertise.data()) u = 0.0;
-    const RunResult lazy = run(p, {}, GreedyImpl::kLazy);
-    const RunResult rescan = run(p, {}, GreedyImpl::kRescan);
+    const RunResult lazy = run(p, {}, greedy_extend);
+    const RunResult rescan = run(p, {}, rescan_greedy_extend);
     EXPECT_EQ(lazy.added, 0u);
     EXPECT_EQ(rescan.added, 0u);
     expect_identical(lazy.allocation, rescan.allocation);
@@ -140,8 +146,8 @@ TEST(LazyGreedyTest, DegenerateProblemsMatch) {
     for (double& u : p.expertise.data()) u = 1.5;
     p.task_time.assign(6, 1.0);
     p.user_capacity.assign(5, 3.0);
-    const RunResult lazy = run(p, {}, GreedyImpl::kLazy);
-    const RunResult rescan = run(p, {}, GreedyImpl::kRescan);
+    const RunResult lazy = run(p, {}, greedy_extend);
+    const RunResult rescan = run(p, {}, rescan_greedy_extend);
     EXPECT_EQ(lazy.added, rescan.added);
     expect_identical(lazy.allocation, rescan.allocation);
   }
@@ -155,26 +161,22 @@ TEST(LazyGreedyTest, ExtendingPrepopulatedAllocationMatches) {
   Allocation rescan(8, 12);
   // First a capped round, then extend the same allocation unbounded — the
   // second round must account for the first round's miss probabilities.
-  options.impl = GreedyImpl::kLazy;
   greedy_extend(p, options, lazy);
-  options.impl = GreedyImpl::kRescan;
-  greedy_extend(p, options, rescan);
+  rescan_greedy_extend(p, options, rescan);
   expect_identical(lazy, rescan);
 
   options.cost_cap = std::numeric_limits<double>::infinity();
-  options.impl = GreedyImpl::kLazy;
   greedy_extend(p, options, lazy);
-  options.impl = GreedyImpl::kRescan;
-  greedy_extend(p, options, rescan);
+  rescan_greedy_extend(p, options, rescan);
   expect_identical(lazy, rescan);
 }
 
 TEST(LazyGreedyTest, IdenticalAcrossThreadCounts) {
   const AllocationProblem p = random_problem(21, 12, 20);
-  const RunResult reference = run(p, {}, GreedyImpl::kRescan);
+  const RunResult reference = run(p, {}, rescan_greedy_extend);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     parallel::set_thread_count(threads);
-    const RunResult lazy = run(p, {}, GreedyImpl::kLazy);
+    const RunResult lazy = run(p, {}, greedy_extend);
     expect_identical(lazy.allocation, reference.allocation);
   }
   parallel::set_thread_count(0);  // restore the default
@@ -185,8 +187,8 @@ TEST(LazyGreedyTest, EvaluatesFarFewerGainsThanRescan) {
   // asymptotics at a size small enough for the test suite.
   const AllocationProblem p = random_problem(31, 60, 150);
   GreedyOptions options;
-  const RunResult lazy = run(p, options, GreedyImpl::kLazy);
-  const RunResult rescan = run(p, options, GreedyImpl::kRescan);
+  const RunResult lazy = run(p, options, greedy_extend);
+  const RunResult rescan = run(p, options, rescan_greedy_extend);
   expect_identical(lazy.allocation, rescan.allocation);
   EXPECT_GT(lazy.stats.heap_pops, 0u);
   EXPECT_GE(rescan.stats.gain_evaluations,
@@ -194,12 +196,10 @@ TEST(LazyGreedyTest, EvaluatesFarFewerGainsThanRescan) {
 }
 
 TEST(LazyGreedyTest, AllocatorUsesLazyByDefaultAndMatchesRescan) {
+  // Both ½-approximation passes, CELF inside the allocator vs the oracle.
   const AllocationProblem p = random_problem(41, 10, 16);
-  MaxQualityAllocator::Options lazy_options;
-  MaxQualityAllocator::Options rescan_options;
-  rescan_options.impl = GreedyImpl::kRescan;
-  const Allocation lazy = MaxQualityAllocator(lazy_options).allocate(p);
-  const Allocation rescan = MaxQualityAllocator(rescan_options).allocate(p);
+  const Allocation lazy = MaxQualityAllocator().allocate(p);
+  const Allocation rescan = rescan_allocate(p, {});
   expect_identical(lazy, rescan);
 }
 

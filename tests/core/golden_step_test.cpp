@@ -1,184 +1,17 @@
 // Golden end-to-end determinism test for the staged pipeline refactor.
 //
-// The raw-string constants below were captured by running the scenarios of
-// golden_scenarios.h against the PRE-refactor implementation (the PR 1
-// monolithic Eta2Server::step) and are bit-exact: hexfloat truth/sigma/cost,
-// full allocation order, dense domain numbering, and the byte-for-byte v1
-// save() blobs. The staged pipeline must reproduce every one of them —
+// The golden_transcripts.h constants were captured by running the scenarios
+// of golden_scenarios.h against the pre-refactor implementation and are
+// bit-exact. The staged pipeline must reproduce every one of them —
 // warm-up random allocation, max-quality, min-cost, clustering — and must
 // still load the v1 save blobs and continue identically.
 #include <gtest/gtest.h>
 
 #include "golden_scenarios.h"
+#include "golden_transcripts.h"
 
 namespace eta2::testing {
 namespace {
-
-constexpr const char* kMaxQuality_transcript = R"GOLD(step 0 warmup=1 mle_iters=1 data_iters=1 cost=0x1.18p+5
-domains: 0 1 2 0 1
-alloc: 0:4,0,3,1,5,2 1:1,4,0,2,3,5 2:1,4,3 3:5,0,4,3,2 4:1,5,0,2
-truth: 0x1.47ff93d49939ap+3 0x1.992b241549a9dp+3 0x1.04a4c8be876c8p+4 0x1.2c82fcd266907p+4 0x1.61149bada7b25p+4
-sigma: 0x1.c216cfb05dd24p-3 0x1.afb355227bbc7p-3 0x1.92f13ee8c2997p-4 0x1.f2ecb3ac56b96p-3 0x1.7486897feb66ep-3
-step 1 warmup=0 mle_iters=2 data_iters=1 cost=0x1.1p+5
-domains: 1 2 0 1 2
-alloc: 0:1,4,3,5,2,0 1:4,1,0,2,5,3 2:4,1,3,2 3:1,3,5,0 4:4,0,2,5
-truth: 0x1.6339c10454d08p+3 0x1.bd1dc06ec64adp+3 0x1.164c12185c23p+4 0x1.3e8bd09b32da5p+4 0x1.711060f20922p+4
-sigma: 0x1.828dacb767aap-2 0x1.80253cc5ff7e3p-2 0x1.397a87cbf03bcp-3 0x1.0c4597333efe6p-2 0x1.32456224af0eap-2
-step 2 warmup=0 mle_iters=2 data_iters=1 cost=0x1.1p+5
-domains: 2 0 1 2 0
-alloc: 0:0,4,1,3,2,5 1:1,4,2,3,0,5 2:3,1,0,2,5 3:0,4,3,5 4:1,4,2
-truth: 0x1.7c09d886151bfp+3 0x1.e366cb6dbd9c3p+3 0x1.234bb11b60187p+4 0x1.56bd2fa6ae8ddp+4 0x1.8162ec3db815ap+4
-sigma: 0x1.6ba44590a6538p-2 0x1.53ef2d87e6de8p-2 0x1.12b8c34d3c8c1p-2 0x1.622682690dd8dp-4 0x1.90847e3fe37cfp-2
-)GOLD";
-
-constexpr const char* kMaxQuality_saved = R"GOLD(eta2-server v1
-1
-expertise-store v1
-6 3
-1.25 2.5 2
-2.75 2 1.75
-2.75 2 2
-2 1.25 2.75
-2.5 0.75 3.25
-1.5 2.5 3
-3.828121605411747 2.9743674624419127 3.0542809955869887
-2.238222498281565 0.7476420434117629 1.6024156325616077
-0.3311960465144814 1.8681696569007782 1.2113313658608453
-2.5162736200946556 0.4298187831970883 4.404125911972725
-3.453906044906853 0.6422222509275592 2.1765389003118623
-1.8992052765688188 9.18494251541485 2.6732697455553653
-dynamic-clusterer v1
-0.5 0 0 0 0
-0
-3
-0 0
-1 1
-2 2
-)GOLD";
-
-constexpr const char* kMaxQuality_post = R"GOLD(step 3 warmup=0 mle_iters=2 data_iters=1 cost=0x1.1p+5
-domains: 0 1 2 0 1
-alloc: 0:2,1,5,3,4,0 1:1,3,4,2,0,5 2:2,4,5,0 3:2,1,5,3 4:1,3,4,0
-truth: 0x1.968807d3e2253p+3 0x1.04960109bd73p+4 0x1.2efd9e5c8fa8ep+4 0x1.64a9559a28d04p+4 0x1.8ca5da609e7d6p+4
-sigma: 0x1.c8f1f06ef6373p-3 0x1.95d26d49708e4p-3 0x1.b31069159a92p-3 0x1.9887229e9da4fp-3 0x1.55932899e11f4p-2
-)GOLD";
-
-constexpr const char* kMinCost_transcript = R"GOLD(step 0 warmup=1 mle_iters=1 data_iters=1 cost=0x1.18p+5
-domains: 0 1 2 0 1
-alloc: 0:4,0,3,1,5,2 1:1,4,0,2,3,5 2:1,4,3 3:5,0,4,3,2 4:1,5,0,2
-truth: 0x1.47ff93d49939ap+3 0x1.992b241549a9dp+3 0x1.04a4c8be876c8p+4 0x1.2c82fcd266907p+4 0x1.61149bada7b25p+4
-sigma: 0x1.c216cfb05dd24p-3 0x1.afb355227bbc7p-3 0x1.92f13ee8c2997p-4 0x1.f2ecb3ac56b96p-3 0x1.7486897feb66ep-3
-step 1 warmup=0 mle_iters=2 data_iters=6 cost=0x1.1p+5
-domains: 1 2 0 1 2
-alloc: 0:1,4,3,5,2,0 1:4,1,0,2,5,3 2:4,1,3,2,0 3:1,4,3,5 4:0,2,5
-truth: 0x1.6229a965c5413p+3 0x1.bbb0d7ddb1437p+3 0x1.161473ef36655p+4 0x1.41a7ff1434fbcp+4 0x1.72f7418ed5e6cp+4
-sigma: 0x1.9875f0b0bfae1p-2 0x1.7382d65396cafp-2 0x1.04f1be80fe536p-3 0x1.e186a3dab974ap-3 0x1.467977e315dffp-2
-step 2 warmup=0 mle_iters=2 data_iters=6 cost=0x1.1p+5
-domains: 2 0 1 2 0
-alloc: 0:0,2,4,1,3,5 1:4,2,1,0,5,3 2:4,1,3,0,5 3:0,2,1,3 4:4,2,5
-truth: 0x1.7d79e662598b5p+3 0x1.e3bc135b38655p+3 0x1.1f0349c14a47fp+4 0x1.4ea02d706b79ap+4 0x1.7c5d86536c456p+4
-sigma: 0x1.6685351b11adbp-2 0x1.6639f75be5c8cp-2 0x1.c6c4c36238fa8p-2 0x1.0babe54f6845fp-2 0x1.5219c682b5b4ep-2
-)GOLD";
-
-constexpr const char* kMinCost_saved = R"GOLD(eta2-server v1
-1
-expertise-store v1
-6 3
-1.75 2 2
-1.75 2 2.75
-2.75 1 3
-2 1.25 2.75
-2.5 2.25 1.75
-2.5 2.5 2
-3.7035170531386963 3.1924956657673977 2.5451684374231136
-1.6410421196670983 1.3367141583669213 2.542004218417922
-1.560578918018294 1.2915429073753302 0.6667407362804718
-2.8131934600225508 1.1457811463465406 3.764684703687538
-1.7975709070227386 1.4632623244030205 2.04633999390916
-2.3715448226389104 3.2235307361061833 3.4468366624316413
-dynamic-clusterer v1
-0.5 0 0 0 0
-0
-3
-0 0
-1 1
-2 2
-)GOLD";
-
-constexpr const char* kMinCost_post = R"GOLD(step 3 warmup=0 mle_iters=2 data_iters=5 cost=0x1.1p+5
-domains: 0 1 2 0 1
-alloc: 0:2,4,1,5,3,0 1:4,1,3,2,5,0 2:2,1,0,3,5 3:2,4,5,0 4:4,1,3
-truth: 0x1.983db347d11cfp+3 0x1.04b77a0ae596bp+4 0x1.2e8bd6421e9dep+4 0x1.63fd6aec7bed5p+4 0x1.8ae2a41215bfbp+4
-sigma: 0x1.c5c8731d8ab1fp-3 0x1.6db385df53c6p-3 0x1.af79716b1cfcfp-3 0x1.d0a5dc2066b6dp-3 0x1.f3b8a0b9e8d58p-3
-)GOLD";
-
-constexpr const char* kClustering_transcript = R"GOLD(step 0 warmup=1 mle_iters=1 data_iters=1 cost=0x1.8p+4
-domains: 0 0 1 1 2 2
-alloc: 0:0,2,3,1 1:2,1,0,3 2:1,2,0,3 3:2,3,0,1 4:1,0,3,2 5:0,1,2,3
-truth: 0x1.4d1f0700b4b9cp+3 0x1.94de199d14df3p+3 0x1.04488555b95c4p+4 0x1.2d5248671312fp+4 0x1.631ad4c9ca5efp+4 0x1.8dbc5d94967b1p+4
-sigma: 0x1.0e7ad467751d8p-4 0x1.6ba3d9351d562p-3 0x1.a8b1d5b2a402fp-3 0x1.dcfd54cefa35ap-3 0x1.0470730faf902p-2 0x1.16a739581e2cep-2
-step 1 warmup=0 mle_iters=2 data_iters=1 cost=0x1.8p+4
-domains: 0 0 1 1 2 2
-alloc: 0:3,1,2,0 1:3,1,2,0 2:1,2,3,0 3:1,2,3,0 4:1,2,3,0 5:1,2,3,0
-truth: 0x1.68bf1a8734ba5p+3 0x1.b6352b0cd3628p+3 0x1.16829f07409a9p+4 0x1.3a7415884fffap+4 0x1.76bb50d18a161p+4 0x1.9964647f93921p+4
-sigma: 0x1.a6e8db4b7a7d8p-3 0x1.6916a6626b76fp-3 0x1.f82583359cddap-4 0x1.9b76158032291p-4 0x1.a4bcd1d71e5aep-4 0x1.97006aa35f54p-4
-)GOLD";
-
-constexpr const char* kClustering_saved = R"GOLD(eta2-server v1
-1
-expertise-store v1
-4 3
-2.5 3 3
-3 2 3
-3 2.5 3
-3 3 3
-3.283692634066818 3.975018519508103 14.466210103073323
-3.1605864525852083 0.556977592161099 0.3533968924666409
-1.2629156198913642 1.5135658890823644 1.4614770847890683
-3.8306824684689094 8.342510467487521 4.629155192477159
-dynamic-clusterer v1
-0.6 2.7340984573647025 3 12 32
-0 -0.07837640411819691 -0.48721866712460704 0.0042673918862144705 -0.03704855948188463 -0.42918955071708165 0.4432832104196023 0.15442881373846878 0.03076856765242624 -0.25814360071481024 -0.025356974026096227 0.33344508955893926 -0.288766842764523 0.15977694567322762 -0.04697462852584716 0.01926730525753627 -0.2441846347301888 0.041827150794974816 0.46434187564218654 -0.1134440505625709 0.398224165653834 0.5549117071949631 0.02450859887012629 0.42054624627198134 -0.012201175503990616 0.045381142457987654 -0.15181279702971293 0.04716178849938044 0.19055765382858467 0.07378399190216994 0.1732780531602275 -0.16044875165422706 -0.028163715835928447
-0 -0.07837640411819691 -0.48721866712460704 0.0042673918862144705 -0.03704855948188463 -0.42918955071708165 0.4432832104196023 0.15442881373846878 0.03076856765242624 -0.25814360071481024 -0.025356974026096227 0.33344508955893926 -0.288766842764523 0.15977694567322762 -0.04697462852584716 0.01926730525753627 -0.2441846347301888 0.041827150794974816 0.46434187564218654 -0.1134440505625709 0.398224165653834 0.5549117071949631 0.02450859887012629 0.42054624627198134 -0.012201175503990616 0.045381142457987654 -0.15181279702971293 0.04716178849938044 0.19055765382858467 0.07378399190216994 0.1732780531602275 -0.16044875165422706 -0.028163715835928447
-1 -0.31802553904922054 -0.014487685387715322 0.1735992105167909 -0.1406526097353179 -0.271049617158332 -0.00933295371848435 -0.12641490018084836 -0.17390279587795018 0.6613500017581894 -0.03676446491922473 0.019857982893663226 -0.0496772032902979 0.32454082680927715 -0.15153691459107357 -0.3347010301839592 0.21688599195134609 -0.11403399506276495 0.008080158362213171 0.25163821534322733 0.35620509376094844 -0.2171253579819006 0.14405574621627348 -0.00414705758668906 0.23826460846806924 0.5464192781379137 -0.11181185514160509 0.10728113734974437 -0.38306693735354164 -0.09350877655279673 -0.3275061781267398 0.1450375691203728 -0.2562788990169811
-1 -0.31802553904922054 -0.014487685387715322 0.1735992105167909 -0.1406526097353179 -0.271049617158332 -0.00933295371848435 -0.12641490018084836 -0.17390279587795018 0.6613500017581894 -0.03676446491922473 0.019857982893663226 -0.0496772032902979 0.32454082680927715 -0.15153691459107357 -0.3347010301839592 0.21688599195134609 -0.11403399506276495 0.008080158362213171 0.25163821534322733 0.35620509376094844 -0.2171253579819006 0.14405574621627348 -0.00414705758668906 0.23826460846806924 0.5464192781379137 -0.11181185514160509 0.10728113734974437 -0.38306693735354164 -0.09350877655279673 -0.3275061781267398 0.1450375691203728 -0.2562788990169811
-2 -0.4618010470246017 0.581942739379602 0.27315075212805867 -0.22935333502851546 -0.08433343276429232 -0.042507873224313916 0.4058372221453004 -0.30984530870899374 -0.04364801928822729 -0.0007544756642164321 -0.01642330679555805 0.0769674788425003 0.03494799881731108 0.19487171038662232 0.020930526255124367 0.059222228188633125 0.3660490018055852 0.2881738845963528 -0.36256030337345546 -0.24393416083868127 0.029547491645868475 -0.358099394564067 0.13342889224489324 -0.3297897751253197 -0.06391103181061286 -0.3441428512915959 0.21191236736765068 0.0409023848986445 0.23802476843377512 0.2988221598909257 0.10277593799329279 0.10356230355993139
-2 -0.34777368349239746 0.9736745402944135 0.242761513049302 0.10193500606644273 0.1118109916405534 0.1573330747780597 -0.04035711420895349 -0.2514396348464453 0.18462101821518948 -0.4487224679676374 -0.05556690483952177 0.35326767518910507 0.08434246518255972 -0.02283586090676365 0.023911386894902516 0.30712837302359064 0.3660490018055852 0.2881738845963528 -0.36256030337345546 -0.24393416083868127 0.029547491645868475 -0.358099394564067 0.13342889224489324 -0.3297897751253197 -0.06391103181061286 -0.3441428512915959 0.21191236736765068 0.0409023848986445 0.23802476843377512 0.2988221598909257 0.10277593799329279 0.10356230355993139
-0 -0.07837640411819691 -0.48721866712460704 0.0042673918862144705 -0.03704855948188463 -0.42918955071708165 0.4432832104196023 0.15442881373846878 0.03076856765242624 -0.25814360071481024 -0.025356974026096227 0.33344508955893926 -0.288766842764523 0.15977694567322762 -0.04697462852584716 0.01926730525753627 -0.2441846347301888 0.041827150794974816 0.46434187564218654 -0.1134440505625709 0.398224165653834 0.5549117071949631 0.02450859887012629 0.42054624627198134 -0.012201175503990616 0.045381142457987654 -0.15181279702971293 0.04716178849938044 0.19055765382858467 0.07378399190216994 0.1732780531602275 -0.16044875165422706 -0.028163715835928447
-0 -0.07837640411819691 -0.48721866712460704 0.0042673918862144705 -0.03704855948188463 -0.42918955071708165 0.4432832104196023 0.15442881373846878 0.03076856765242624 -0.25814360071481024 -0.025356974026096227 0.33344508955893926 -0.288766842764523 0.15977694567322762 -0.04697462852584716 0.01926730525753627 -0.2441846347301888 0.041827150794974816 0.46434187564218654 -0.1134440505625709 0.398224165653834 0.5549117071949631 0.02450859887012629 0.42054624627198134 -0.012201175503990616 0.045381142457987654 -0.15181279702971293 0.04716178849938044 0.19055765382858467 0.07378399190216994 0.1732780531602275 -0.16044875165422706 -0.028163715835928447
-1 -0.31802553904922054 -0.014487685387715322 0.1735992105167909 -0.1406526097353179 -0.271049617158332 -0.00933295371848435 -0.12641490018084836 -0.17390279587795018 0.6613500017581894 -0.03676446491922473 0.019857982893663226 -0.0496772032902979 0.32454082680927715 -0.15153691459107357 -0.3347010301839592 0.21688599195134609 -0.11403399506276495 0.008080158362213171 0.25163821534322733 0.35620509376094844 -0.2171253579819006 0.14405574621627348 -0.00414705758668906 0.23826460846806924 0.5464192781379137 -0.11181185514160509 0.10728113734974437 -0.38306693735354164 -0.09350877655279673 -0.3275061781267398 0.1450375691203728 -0.2562788990169811
-1 -0.31802553904922054 -0.014487685387715322 0.1735992105167909 -0.1406526097353179 -0.271049617158332 -0.00933295371848435 -0.12641490018084836 -0.17390279587795018 0.6613500017581894 -0.03676446491922473 0.019857982893663226 -0.0496772032902979 0.32454082680927715 -0.15153691459107357 -0.3347010301839592 0.21688599195134609 -0.11403399506276495 0.008080158362213171 0.25163821534322733 0.35620509376094844 -0.2171253579819006 0.14405574621627348 -0.00414705758668906 0.23826460846806924 0.5464192781379137 -0.11181185514160509 0.10728113734974437 -0.38306693735354164 -0.09350877655279673 -0.3275061781267398 0.1450375691203728 -0.2562788990169811
-2 -0.4618010470246017 0.581942739379602 0.27315075212805867 -0.22935333502851546 -0.08433343276429232 -0.042507873224313916 0.4058372221453004 -0.30984530870899374 -0.04364801928822729 -0.0007544756642164321 -0.01642330679555805 0.0769674788425003 0.03494799881731108 0.19487171038662232 0.020930526255124367 0.059222228188633125 0.3660490018055852 0.2881738845963528 -0.36256030337345546 -0.24393416083868127 0.029547491645868475 -0.358099394564067 0.13342889224489324 -0.3297897751253197 -0.06391103181061286 -0.3441428512915959 0.21191236736765068 0.0409023848986445 0.23802476843377512 0.2988221598909257 0.10277593799329279 0.10356230355993139
-2 -0.34777368349239746 0.9736745402944135 0.242761513049302 0.10193500606644273 0.1118109916405534 0.1573330747780597 -0.04035711420895349 -0.2514396348464453 0.18462101821518948 -0.4487224679676374 -0.05556690483952177 0.35326767518910507 0.08434246518255972 -0.02283586090676365 0.023911386894902516 0.30712837302359064 0.3660490018055852 0.2881738845963528 -0.36256030337345546 -0.24393416083868127 0.029547491645868475 -0.358099394564067 0.13342889224489324 -0.3297897751253197 -0.06391103181061286 -0.3441428512915959 0.21191236736765068 0.0409023848986445 0.23802476843377512 0.2988221598909257 0.10277593799329279 0.10356230355993139
-3
-0 0
-1 1
-2 2
-0
-)GOLD";
-
-constexpr const char* kClustering_post = R"GOLD(step 2 warmup=0 mle_iters=2 data_iters=1 cost=0x1.8p+4
-domains: 0 0 1 1 2 2
-alloc: 0:2,1,3,0 1:2,1,3,0 2:1,2,0,3 3:1,2,0,3 4:1,2,3,0 5:1,2,3,0
-truth: 0x1.7f84d751f83a3p+3 0x1.dea244f7989d4p+3 0x1.241618863a0bap+4 0x1.4cdbeb6172f2dp+4 0x1.842bc8d1b0342p+4 0x1.ab1a05e7d2735p+4
-sigma: 0x1.35a082554bd0bp-2 0x1.2fa5a5a15f5c5p-2 0x1.cb9ad96769544p-3 0x1.f9ff677b05dc5p-3 0x1.e7fcb2110c312p-3 0x1.bb4c44a7d8527p-3
-)GOLD";
-
-core::Eta2Config max_quality_config() { return core::Eta2Config{}; }
-
-core::Eta2Config min_cost_config() {
-  core::Eta2Config config;
-  config.use_min_cost = true;
-  config.cost_per_iteration = 8.0;
-  config.epsilon_bar = 0.6;
-  return config;
-}
-
-core::Eta2Config clustering_config() {
-  core::Eta2Config config;
-  config.gamma = 0.6;
-  return config;
-}
 
 TEST(GoldenStepTest, MaxQualityPathBitIdentical) {
   const GoldenRun run = run_labeled_scenario(max_quality_config());

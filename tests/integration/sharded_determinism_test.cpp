@@ -1,15 +1,19 @@
-// Shard-merge determinism suite (DESIGN.md §12): the sharded step pipeline
-// must produce identical golden transcripts at every (thread count, shard
-// count) combination, and — under the default ShardingTier::kExact — the
-// exact bytes of the monolithic reference path. Runs in the sanitize-tagged
-// determinism binary so the TSan job covers the shard dispatch.
+// Server-level determinism of the sharded step pipeline (DESIGN.md §12):
+// the truth engine fans every Eq. 5–9 sweep out one pool task per domain
+// shard, and the golden transcripts — max-quality, min-cost, clustering,
+// and the kTrimmedV1 pinned transcript with its trusted sweep — must come
+// out byte for byte at 1, 2 and 8 threads. Runs in the sanitize-tagged
+// determinism binary so the TSan job covers the shard dispatch, defended
+// steps included. Shard layouts other than one per domain are covered
+// against the monolithic oracles in tests/truth/sharding_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "../core/golden_scenarios.h"
+#include "../core/golden_transcripts.h"
+#include "../truth/trimmed_v1_golden.h"
 #include "common/parallel.h"
 #include "core/config.h"
 
@@ -17,7 +21,6 @@ namespace eta2 {
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-constexpr std::size_t kShardCounts[] = {0, 1, 2, 8};
 
 std::string run_labeled(const core::Eta2Config& config, std::size_t threads) {
   parallel::set_thread_count(threads);
@@ -34,58 +37,53 @@ std::string run_described(const core::Eta2Config& config, std::size_t threads) {
 }
 
 TEST(ShardedDeterminismTest, LabeledTranscriptStableAcrossThreadsAndShards) {
-  core::Eta2Config monolithic;
-  monolithic.sharded_step = false;
-  const std::string reference = run_labeled(monolithic, 1);
-  for (const std::size_t shards : kShardCounts) {
-    core::Eta2Config config;
-    config.sharded_step = true;
-    config.shard_count = shards;
-    for (const std::size_t threads : kThreadCounts) {
-      EXPECT_EQ(reference, run_labeled(config, threads))
-          << "shards=" << shards << " threads=" << threads;
-    }
+  const std::string golden = std::string(testing::kMaxQuality_transcript) +
+                             testing::kMaxQuality_saved +
+                             testing::kMaxQuality_post;
+  for (const std::size_t threads : kThreadCounts) {
+    EXPECT_EQ(golden, run_labeled(testing::max_quality_config(), threads))
+        << "threads=" << threads;
   }
 }
 
 TEST(ShardedDeterminismTest, DescribedTranscriptStableAcrossThreadsAndShards) {
-  core::Eta2Config monolithic;
-  monolithic.sharded_step = false;
-  const std::string reference = run_described(monolithic, 1);
-  for (const std::size_t shards : kShardCounts) {
-    core::Eta2Config config;
-    config.sharded_step = true;
-    config.shard_count = shards;
-    for (const std::size_t threads : kThreadCounts) {
-      EXPECT_EQ(reference, run_described(config, threads))
-          << "shards=" << shards << " threads=" << threads;
-    }
+  const std::string golden = std::string(testing::kClustering_transcript) +
+                             testing::kClustering_saved +
+                             testing::kClustering_post;
+  for (const std::size_t threads : kThreadCounts) {
+    EXPECT_EQ(golden, run_described(testing::clustering_config(), threads))
+        << "threads=" << threads;
   }
 }
 
 TEST(ShardedDeterminismTest, MinCostPipelineUnaffectedByShardKnobs) {
-  // The min-cost strategy has no sharded route; the sharded truth update
-  // must still leave its transcript byte-identical to the monolithic run.
-  core::Eta2Config monolithic;
-  monolithic.use_min_cost = true;
-  monolithic.sharded_step = false;
-  const std::string reference = run_labeled(monolithic, 1);
-  core::Eta2Config config;
-  config.use_min_cost = true;
-  config.shard_count = 2;
+  // Min-cost re-runs the batch estimate every data round, each one sharded.
+  const std::string golden = std::string(testing::kMinCost_transcript) +
+                             testing::kMinCost_saved + testing::kMinCost_post;
   for (const std::size_t threads : kThreadCounts) {
-    EXPECT_EQ(reference, run_labeled(config, threads)) << threads;
+    EXPECT_EQ(golden, run_labeled(testing::min_cost_config(), threads))
+        << "threads=" << threads;
   }
 }
 
-// Single-domain batch: every task lands in one shard, all other shards (when
-// shard_count > 1) are empty no-ops; the transcript must not care.
-std::string run_single_domain(const core::Eta2Config& config,
-                              std::size_t threads) {
+TEST(ShardedDeterminismTest, TrimmedV1TranscriptStableAcrossThreads) {
+  // Defended steady-state steps run the weighted engine: filter, trusted
+  // sweep and ledger trailer must reproduce the pinned bytes.
+  core::Eta2Config config;
+  config.trust.tier = truth::DefenseTier::kTrimmedV1;
+  const std::string golden = std::string(truth::kTrimmedV1_transcript) +
+                             truth::kTrimmedV1_saved + truth::kTrimmedV1_post;
+  for (const std::size_t threads : kThreadCounts) {
+    EXPECT_EQ(golden, run_labeled(config, threads)) << "threads=" << threads;
+  }
+}
+
+// Single-domain batches: one shard carries every task of the run.
+std::string run_single_domain(std::size_t threads) {
   parallel::set_thread_count(threads);
   const std::size_t users = 5;
   const std::vector<double> caps(users, 6.0);
-  core::Eta2Server server(users, config, nullptr);
+  core::Eta2Server server(users, core::Eta2Config{}, nullptr);
   Rng rng(11);
   std::string transcript;
   for (int step = 0; step < 3; ++step) {
@@ -101,44 +99,11 @@ std::string run_single_domain(const core::Eta2Config& config,
   return transcript;
 }
 
-TEST(ShardedDeterminismTest, SingleDomainAndEmptyShardsMatchMonolithic) {
-  core::Eta2Config monolithic;
-  monolithic.sharded_step = false;
-  const std::string reference = run_single_domain(monolithic, 1);
-  for (const std::size_t shards : kShardCounts) {
-    core::Eta2Config config;
-    config.shard_count = shards;  // shards > 1 ⇒ empty shards every step
-    for (const std::size_t threads : kThreadCounts) {
-      EXPECT_EQ(reference, run_single_domain(config, threads))
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
-}
-
-// FNV-1a over the transcript bytes: enough to pin a tier's behavior without
-// embedding the full hexfloat dump.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-TEST(ShardedDeterminismTest, DomainLocalTierStableAndPinned) {
-  // kDomainLocalV1 is NOT bit-identical to kExact (per-shard convergence
-  // loops), but it must be deterministic across thread counts and its
-  // transcript is pinned here: any numeric change to the tier must mint
-  // kDomainLocalV2 instead of shifting these bytes.
-  core::Eta2Config config;
-  config.sharding_tier = truth::ShardingTier::kDomainLocalV1;
-  const std::string reference = run_labeled(config, 1);
+TEST(ShardedDeterminismTest, SingleDomainTranscriptStableAcrossThreads) {
+  const std::string reference = run_single_domain(1);
   for (const std::size_t threads : kThreadCounts) {
-    EXPECT_EQ(reference, run_labeled(config, threads)) << threads;
+    EXPECT_EQ(reference, run_single_domain(threads)) << "threads=" << threads;
   }
-  EXPECT_EQ(fnv1a(reference), 0x893b69c3b9bb42c5ULL)
-      << "pinned kDomainLocalV1 transcript drifted";
 }
 
 }  // namespace

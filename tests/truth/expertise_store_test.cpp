@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "truth/sharding.h"
 
 namespace eta2::truth {
 namespace {
@@ -153,15 +154,18 @@ TEST(ContributionsTest, CountsAndErrors) {
   const std::vector<DomainIndex> domain{0, 1};
   const std::vector<double> mu{10.0, 10.0};
   const std::vector<double> sigma{2.0, 3.0};
-  const Contributions c =
-      expertise_contributions(data, domain, mu, sigma, 2, 2);
-  EXPECT_DOUBLE_EQ(c.num[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.num[1][0], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[1][0], 0.0);
-  EXPECT_DOUBLE_EQ(c.num[0][1], 1.0);
-  EXPECT_DOUBLE_EQ(c.den[0][1], 4.0);
-  EXPECT_DOUBLE_EQ(c.num[1][1], 0.0);
+  // The warm-up seeding adds the contributions into an empty store.
+  ExpertiseStore store(2);
+  store.add_domain();
+  store.add_domain();
+  accumulate_fit(store, data, domain, mu, sigma);
+  EXPECT_DOUBLE_EQ(store.raw_num(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(store.raw_den(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(store.raw_num(1, 0), 1.0);
+  EXPECT_DOUBLE_EQ(store.raw_den(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(store.raw_num(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(store.raw_den(0, 1), 4.0);
+  EXPECT_DOUBLE_EQ(store.raw_num(1, 1), 0.0);
 }
 
 TEST(ContributionsTest, SkipsNaNTruth) {
@@ -170,9 +174,10 @@ TEST(ContributionsTest, SkipsNaNTruth) {
   const std::vector<DomainIndex> domain{0};
   const std::vector<double> mu{std::nan("")};
   const std::vector<double> sigma{1.0};
-  const Contributions c =
-      expertise_contributions(data, domain, mu, sigma, 1, 1);
-  EXPECT_DOUBLE_EQ(c.num[0][0], 0.0);
+  ExpertiseStore store(1);
+  store.add_domain();
+  accumulate_fit(store, data, domain, mu, sigma);
+  EXPECT_DOUBLE_EQ(store.raw_num(0, 0), 0.0);
 }
 
 TEST(DynamicUpdateTest, LearnsExpertiseFromNewTasks) {
