@@ -6,8 +6,9 @@
 // serial vs. the parallel runtime, verifies the outputs are bit-identical,
 // and writes BENCH_core.json (median-of-reps ns/op, speedup,
 // machine info). Kernels with a rewritten hot path also record before/after
-// columns (naive vs blocked distances, rescan vs CELF, scalar vs batched Φ)
-// and the greedy's gain-evaluation counters, so the asymptotic wins are
+// columns (naive vs blocked distances, rescan vs CELF, scalar vs batched Φ,
+// map-based vs bitset trust scoring) and the greedy's gain-evaluation
+// counters, so the asymptotic wins are
 // visible in the trajectory, not just wall-clock. That file is the perf
 // trajectory every later PR is measured against.
 //
@@ -30,10 +31,12 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/max_quality.h"
@@ -53,6 +56,8 @@
 #include "truth/eta2_mle.h"
 #include "truth/expertise_store.h"
 #include "truth/sharding.h"
+#include "truth/trust.h"
+#include "truth/trust_oracle.h"
 #include "truth/truth_oracle.h"
 
 namespace {
@@ -606,6 +611,122 @@ std::vector<Kernel> make_kernels(bool quick) {
               "unsharded_bit_identical",
               bitwise_equal(mono_signature, sharded_signature) ? "true"
                                                                : "false");
+        }});
+  }
+
+  // 5b. Trust ledger scoring pass (DESIGN.md §14) at the campaign_defended
+  //     shape: 400 users, 400 tasks per step over 16 domains, ~40 observers
+  //     per task, 20% sybils in two cliques pushing opposite ways. Each op
+  //     copies a ledger warmed by three steps and scores three more. Extras
+  //     time the map-based reference pass (tests/truth/trust_oracle.h) on
+  //     the same steps and compare the two ledgers' save() bytes.
+  {
+    const std::size_t users = 400;
+    const std::size_t tasks = 400;
+    const std::size_t domains = 16;
+    const std::size_t sybils = users / 5;
+    struct TrustStep {
+      eta2::truth::ObservationSet raw{users, tasks};
+      std::vector<eta2::truth::DomainIndex> domain;
+      std::vector<double> mu;
+      std::vector<double> sigma;
+    };
+    Rng rng(37);
+    auto store = std::make_shared<eta2::truth::ExpertiseStore>(users);
+    eta2::truth::Accumulators num(users, std::vector<double>(domains));
+    eta2::truth::Accumulators den(users, std::vector<double>(domains));
+    for (std::size_t k = 0; k < domains; ++k) {
+      store->add_domain();
+      for (std::size_t i = 0; i < users; ++i) {
+        num[i][k] = rng.uniform(2.0, 20.0);
+        den[i][k] = rng.uniform(1.0, 20.0);
+      }
+    }
+    store->decay_and_accumulate(1.0, num, den);
+    const auto draw_step = [&rng, &store, domains, sybils]() {
+      TrustStep step;
+      for (std::size_t j = 0; j < tasks; ++j) {
+        const std::size_t k = j % domains;
+        step.domain.push_back(k);
+        step.mu.push_back(rng.uniform(0.0, 20.0));
+        step.sigma.push_back(rng.uniform(0.5, 2.0));
+        for (std::size_t i = 0; i < users; ++i) {
+          if (!rng.bernoulli(0.1)) continue;
+          // Honest reports have z ~ N(0, 1); each clique shifts its own
+          // reports 4σ/u one way, so clique members co-err on shared tasks.
+          const double scale = step.sigma[j] / store->expertise(i, k);
+          double offset = rng.normal() * scale;
+          if (i < sybils) offset = (i % 2 == 0 ? 4.0 : -4.0) * scale;
+          step.raw.add(j, i, step.mu[j] + offset);
+        }
+      }
+      return step;
+    };
+    eta2::truth::TrustOptions options;
+    options.tier = eta2::truth::DefenseTier::kTrimmedV1;
+    auto warm = std::make_shared<eta2::truth::TrustLedger>(users, options);
+    auto warm_reference =
+        std::make_shared<eta2::truth::oracle::TrustLedgerOracle>(users,
+                                                                 options);
+    for (int s = 0; s < 3; ++s) {
+      const TrustStep step = draw_step();
+      (void)warm->end_step(step.raw, step.domain, step.mu, step.sigma, *store);
+      (void)warm_reference->end_step(step.raw, step.domain, step.mu,
+                                     step.sigma, *store);
+    }
+    auto steps = std::make_shared<std::vector<TrustStep>>();
+    for (int s = 0; s < 3; ++s) steps->push_back(draw_step());
+    // Signature: every step's report, then each user's final trust.
+    const auto score = [steps, store](auto ledger) {
+      std::vector<double> signature;
+      for (const TrustStep& step : *steps) {
+        const eta2::truth::TrustStepReport report = ledger.end_step(
+            step.raw, step.domain, step.mu, step.sigma, *store);
+        signature.push_back(static_cast<double>(report.suspected_users));
+        signature.push_back(static_cast<double>(report.quarantined_users));
+        signature.push_back(static_cast<double>(report.readmitted_users));
+        signature.push_back(static_cast<double>(report.flagged_cliques));
+      }
+      for (std::size_t i = 0; i < users; ++i) {
+        signature.push_back(ledger.trust(i));
+      }
+      return std::pair{std::move(signature), std::move(ledger)};
+    };
+    const auto graph = [warm, score]() { return score(*warm).first; };
+    const auto saved = [](const auto& ledger) {
+      std::ostringstream out;
+      ledger.save(out);
+      return out.str();
+    };
+    kernels.push_back(Kernel{
+        "trust_score", users, graph,
+        [warm, warm_reference, score, graph, saved](int reps,
+                                                    KernelTiming& timing) {
+          std::vector<double> oracle_signature;
+          const double oracle_ns = time_median_ns(
+              [warm_reference, score]() {
+                return score(*warm_reference).first;
+              },
+              reps, oracle_signature);
+          std::vector<double> graph_signature;
+          const double graph_ns =
+              time_median_ns(graph, reps, graph_signature);
+          const std::string ledger_bytes = saved(score(*warm).second);
+          const bool same_bytes =
+              ledger_bytes == saved(score(*warm_reference).second) &&
+              bitwise_equal(graph_signature, oracle_signature);
+          std::istringstream pairs_in(
+              ledger_bytes.substr(ledger_bytes.find("\npairs ") + 7));
+          std::size_t live_pairs = 0;
+          pairs_in >> live_pairs;
+          timing.extra.emplace_back("steps", "3");
+          timing.extra.emplace_back("live_pairs", std::to_string(live_pairs));
+          timing.extra.emplace_back("oracle_ns_per_op", format_ns(oracle_ns));
+          timing.extra.emplace_back("graph_ns_per_op", format_ns(graph_ns));
+          timing.extra.emplace_back("graph_speedup",
+                                    format_ratio(oracle_ns, graph_ns));
+          timing.extra.emplace_back("oracle_bit_identical",
+                                    same_bytes ? "true" : "false");
         }});
   }
 

@@ -34,7 +34,6 @@ class LazyGreedy {
              const Allocation& allocation, GreedyStats& stats)
       : problem_(problem),
         options_(options),
-        allocation_(allocation),
         stats_(stats),
         k_(problem.class_count()) {
     const std::size_t n = problem.user_count();
@@ -64,8 +63,12 @@ class LazyGreedy {
       remaining_[i] = problem.user_capacity[i] - allocation.used_time(i);
     }
     miss_.assign(m, 1.0);
+    assigned_.assign(m * n, 0);
     for (TaskId j = 0; j < m; ++j) {
-      for (const UserId i : allocation.users_of(j)) miss_[j] *= 1.0 - p(i, j);
+      for (const UserId i : allocation.users_of(j)) {
+        miss_[j] *= 1.0 - p(i, j);
+        assigned_[j * n + i] = 1;
+      }
     }
     order_.resize(n * k_);
     cursor_.assign(m, 0);
@@ -124,6 +127,7 @@ class LazyGreedy {
 
   void select(UserId i, TaskId j, Allocation& allocation) {
     allocation.assign(i, j, problem_.task_time[j], problem_.cost_of(j));
+    assigned_[j * problem_.user_count() + i] = 1;
     remaining_[i] -= problem_.task_time[j];
     // Capacity feasibility: an infeasible pair never has positive
     // efficiency, so a selected pair can never overdraw the time budget.
@@ -199,7 +203,7 @@ class LazyGreedy {
 
   [[nodiscard]] bool feasible(UserId i, TaskId j) const {
     return remaining_[i] >= problem_.task_time[j] &&
-           !allocation_.is_assigned(i, j);
+           assigned_[j * problem_.user_count() + i] == 0;
   }
 
   [[nodiscard]] double p(UserId i, TaskId j) const {
@@ -208,13 +212,15 @@ class LazyGreedy {
 
   const AllocationProblem& problem_;
   const GreedyOptions& options_;
-  const Allocation& allocation_;
   GreedyStats& stats_;
   std::size_t k_;                   // class count (row stride of p_)
   std::vector<std::size_t> class_;  // task -> class
   std::vector<double> p_;           // row-major n × K accuracy probabilities
   std::vector<double> remaining_;
   std::vector<double> miss_;
+  // Task-major m × n assigned flags: the feasibility test reads one byte
+  // instead of scanning the task's assignee list.
+  std::vector<char> assigned_;
   std::vector<UserId> order_;        // per-class users, (p desc, index asc)
   std::vector<std::size_t> cursor_;  // first possibly-feasible order_ entry
   std::vector<double> bound_;        // current upper bound per task

@@ -1,6 +1,7 @@
 #include "truth/trust.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <istream>
@@ -27,6 +28,16 @@ std::uint64_t pair_key(UserId a, UserId b) {
   const std::uint64_t lo = std::min(a, b);
   const std::uint64_t hi = std::max(a, b);
   return (lo << 32) | hi;
+}
+
+std::size_t pair_lo(std::uint64_t key) { return key >> 32; }
+std::size_t pair_hi(std::uint64_t key) { return key & 0xffffffffULL; }
+
+// Adds `count` ones one at a time: x + 1 + 1 can round differently from
+// x + 2 when x is a decayed non-integer, and the per-pair pass this count
+// replaces added them one by one.
+void add_ones(double& x, std::size_t count) {
+  for (; count > 0; --count) x += 1.0;
 }
 
 // Union-find over user ids for the per-step clique clustering. Path
@@ -270,63 +281,82 @@ TrustStepReport TrustLedger::end_step(const ObservationSet& raw,
     m2_[u] *= options_.decay;
     w_[u] *= options_.decay;
   }
-  for (auto it = pairs_.begin(); it != pairs_.end();) {
-    it->second.co_wrong *= options_.decay;
-    it->second.co_observed *= options_.decay;
-    if (it->second.co_wrong < options_.pair_floor) {
-      it = pairs_.erase(it);
-    } else {
-      ++it;
-    }
+  for (Pair& pair : pairs_) {
+    pair.co_wrong *= options_.decay;
+    pair.co_observed *= options_.decay;
   }
+  std::erase_if(pairs_, [this](const Pair& pair) {
+    return pair.co_wrong < options_.pair_floor;
+  });
 
+  // Task pass: residuals into the per-user ledger, and each scored report
+  // into its user's task bitsets.
+  const std::size_t words = (raw.task_count() + 63) / 64;
+  scratch_.words = words;
+  scratch_.seen.assign(m2_.size() * words, 0);
+  scratch_.wrong_pos.assign(m2_.size() * words, 0);
+  scratch_.wrong_neg.assign(m2_.size() * words, 0);
+  scratch_.fresh.clear();
   const double sigma_min = store.options().sigma_min;
-  std::vector<std::pair<UserId, double>> task_z;  // observers' z this task
   for (TaskId j = 0; j < raw.task_count(); ++j) {
     if (std::isnan(mu[j])) continue;
     const double s = std::max(sigma[j], sigma_min);
     const DomainIndex k = task_domain[j];
-    task_z.clear();
+    const std::size_t word = j / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+    scratch_.task_pos.clear();
+    scratch_.task_neg.clear();
     for (const Observation& obs : raw.for_task(j)) {
       const double u = store.expertise(obs.user, k);
       const double z = (obs.value - mu[j]) * u / s;
       if (!std::isfinite(z)) continue;
       m2_[obs.user] += std::min(z * z, options_.z_clip);
       w_[obs.user] += 1.0;
-      task_z.emplace_back(obs.user, z);
-    }
-    // Agreement graph: pairs that are wrong together in the same direction.
-    // Entries are created on first co-error; existing entries also track
-    // shared-task exposure so the edge test is agreement *beyond chance*.
-    for (std::size_t a = 0; a < task_z.size(); ++a) {
-      const bool wrong_a = std::abs(task_z[a].second) > options_.agreement_z;
-      for (std::size_t b = a + 1; b < task_z.size(); ++b) {
-        const bool wrong_b =
-            std::abs(task_z[b].second) > options_.agreement_z;
-        const bool co_wrong =
-            wrong_a && wrong_b &&
-            (task_z[a].second > 0.0) == (task_z[b].second > 0.0);
-        const std::uint64_t key =
-            pair_key(task_z[a].first, task_z[b].first);
-        auto it = pairs_.find(key);
-        if (it == pairs_.end()) {
-          if (!co_wrong) continue;
-          it = pairs_.emplace(key, PairStat{}).first;
-        }
-        it->second.co_observed += 1.0;
-        if (co_wrong) it->second.co_wrong += 1.0;
+      const std::size_t cell = obs.user * words + word;
+      scratch_.seen[cell] |= bit;
+      if (z > options_.agreement_z) {
+        scratch_.wrong_pos[cell] |= bit;
+        scratch_.task_pos.push_back(obs.user);
+      } else if (z < -options_.agreement_z) {
+        scratch_.wrong_neg[cell] |= bit;
+        scratch_.task_neg.push_back(obs.user);
       }
     }
+    note_fresh_pairs(scratch_.task_pos, j);
+    note_fresh_pairs(scratch_.task_neg, j);
   }
 
+  // Agreement graph: pairs that are wrong together in the same direction.
+  // Entries are created on first co-error; existing entries also track
+  // shared-task exposure so the edge test is agreement *beyond chance*.
+  // Live pairs count every task of the step; a pair first co-wrong on task
+  // t counts tasks t onward, and joins the key-sorted graph once.
+  for (Pair& pair : pairs_) count_shared_tasks(pair, 0);
+  std::vector<std::pair<std::uint64_t, TaskId>>& fresh = scratch_.fresh;
+  std::sort(fresh.begin(), fresh.end());
+  fresh.erase(std::unique(fresh.begin(), fresh.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              fresh.end());
+  const std::size_t live = pairs_.size();
+  for (const auto& [key, first_task] : fresh) {
+    Pair& pair = pairs_.emplace_back(Pair{key});
+    count_shared_tasks(pair, first_task);
+  }
+  std::inplace_merge(
+      pairs_.begin(), pairs_.begin() + static_cast<std::ptrdiff_t>(live),
+      pairs_.end(),
+      [](const Pair& a, const Pair& b) { return a.key < b.key; });
+
   // Clique clustering: union co-wrong-beyond-chance edges, quarantine
-  // components at or above the size threshold. std::map iteration keeps
-  // the fold deterministic.
+  // components at or above the size threshold. Key order keeps the fold
+  // deterministic.
   UnionFind uf(m2_.size());
-  for (const auto& [key, stat] : pairs_) {
-    if (stat.co_wrong >= options_.min_co_wrong &&
-        stat.co_wrong >= options_.co_wrong_ratio * stat.co_observed) {
-      uf.unite(key >> 32, key & 0xffffffffULL);
+  for (const Pair& pair : pairs_) {
+    if (pair.co_wrong >= options_.min_co_wrong &&
+        pair.co_wrong >= options_.co_wrong_ratio * pair.co_observed) {
+      uf.unite(pair_lo(pair.key), pair_hi(pair.key));
     }
   }
   std::vector<std::size_t> component_size(m2_.size(), 0);
@@ -360,6 +390,42 @@ TrustStepReport TrustLedger::end_step(const ObservationSet& raw,
   return report;
 }
 
+void TrustLedger::note_fresh_pairs(std::span<const UserId> wrong,
+                                   TaskId task) {
+  for (std::size_t a = 0; a < wrong.size(); ++a) {
+    for (std::size_t b = a + 1; b < wrong.size(); ++b) {
+      const std::uint64_t key = pair_key(wrong[a], wrong[b]);
+      const auto it = std::lower_bound(
+          pairs_.begin(), pairs_.end(), key,
+          [](const Pair& pair, std::uint64_t k) { return pair.key < k; });
+      if (it == pairs_.end() || it->key != key) {
+        scratch_.fresh.emplace_back(key, task);
+      }
+    }
+  }
+}
+
+void TrustLedger::count_shared_tasks(Pair& pair, TaskId first_task) const {
+  const std::size_t words = scratch_.words;
+  const std::size_t a = pair_lo(pair.key) * words;
+  const std::size_t b = pair_hi(pair.key) * words;
+  std::size_t observed = 0;
+  std::size_t co_wrong = 0;
+  for (std::size_t w = first_task / 64; w < words; ++w) {
+    const std::uint64_t from =
+        w == first_task / 64 ? ~std::uint64_t{0} << (first_task % 64)
+                             : ~std::uint64_t{0};
+    observed += static_cast<std::size_t>(
+        std::popcount(scratch_.seen[a + w] & scratch_.seen[b + w] & from));
+    co_wrong += static_cast<std::size_t>(std::popcount(
+        ((scratch_.wrong_pos[a + w] & scratch_.wrong_pos[b + w]) |
+         (scratch_.wrong_neg[a + w] & scratch_.wrong_neg[b + w])) &
+        from));
+  }
+  add_ones(pair.co_observed, observed);
+  add_ones(pair.co_wrong, co_wrong);
+}
+
 void TrustLedger::save(std::ostream& out) const {
   out << "trust-ledger v1\n";
   out << m2_.size() << ' ' << step_ << '\n';
@@ -370,11 +436,11 @@ void TrustLedger::save(std::ostream& out) const {
     out << ' ' << quarantined_until_[u] << ' ' << readmissions_[u] << '\n';
   }
   out << "pairs " << pairs_.size() << '\n';
-  for (const auto& [key, stat] : pairs_) {
-    out << key << ' ';
-    write_number(out, stat.co_wrong);
+  for (const Pair& pair : pairs_) {
+    out << pair.key << ' ';
+    write_number(out, pair.co_wrong);
     out << ' ';
-    write_number(out, stat.co_observed);
+    write_number(out, pair.co_observed);
     out << '\n';
   }
 }
@@ -394,23 +460,49 @@ TrustLedger TrustLedger::load_body(std::istream& in, TrustOptions options) {
   std::uint64_t step = 0;
   require(static_cast<bool>(in >> users >> step) && users >= 1,
           "TrustLedger::load: bad dimensions");
+  // Rows are read before the ledger is sized, so a corrupt user count fails
+  // as a truncation instead of allocating that many users.
+  std::vector<double> m2;
+  std::vector<double> w;
+  std::vector<std::uint64_t> quarantined_until;
+  std::vector<std::uint64_t> readmissions;
+  for (UserId u = 0; u < users; ++u) {
+    double row_m2 = 0.0;
+    double row_w = 0.0;
+    std::uint64_t row_until = 0;
+    std::uint64_t row_readmissions = 0;
+    require(static_cast<bool>(in >> row_m2 >> row_w >> row_until >>
+                              row_readmissions),
+            "TrustLedger::load: truncated user row");
+    m2.push_back(row_m2);
+    w.push_back(row_w);
+    quarantined_until.push_back(row_until);
+    readmissions.push_back(row_readmissions);
+  }
   TrustLedger ledger(users, options);
   ledger.step_ = step;
-  for (UserId u = 0; u < users; ++u) {
-    require(static_cast<bool>(in >> ledger.m2_[u] >> ledger.w_[u] >>
-                              ledger.quarantined_until_[u] >>
-                              ledger.readmissions_[u]),
-            "TrustLedger::load: truncated user row");
-  }
+  ledger.m2_ = std::move(m2);
+  ledger.w_ = std::move(w);
+  ledger.quarantined_until_ = std::move(quarantined_until);
+  ledger.readmissions_ = std::move(readmissions);
   std::size_t pair_count = 0;
   require(static_cast<bool>(in >> tag >> pair_count) && tag == "pairs",
           "TrustLedger::load: bad pairs header");
   for (std::size_t i = 0; i < pair_count; ++i) {
-    std::uint64_t key = 0;
-    PairStat stat;
-    require(static_cast<bool>(in >> key >> stat.co_wrong >> stat.co_observed),
+    Pair pair;
+    require(static_cast<bool>(in >> pair.key >> pair.co_wrong >>
+                              pair.co_observed),
             "TrustLedger::load: truncated pair row");
-    ledger.pairs_.emplace(key, stat);
+    // The scoring pass indexes per-user rows by both ends of the key.
+    require(pair_lo(pair.key) < pair_hi(pair.key) && pair_hi(pair.key) < users,
+            "TrustLedger::load: pair key out of range");
+    require(ledger.pairs_.empty() || ledger.pairs_.back().key < pair.key,
+            "TrustLedger::load: pair keys not strictly ascending");
+    require(std::isfinite(pair.co_wrong) && pair.co_wrong >= 0.0 &&
+                std::isfinite(pair.co_observed) &&
+                pair.co_observed >= 0.0,
+            "TrustLedger::load: bad pair mass");
+    ledger.pairs_.push_back(pair);
   }
   return ledger;
 }

@@ -37,8 +37,8 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
@@ -170,6 +170,9 @@ class TrustLedger {
   // Decays the ledger, folds in this step's standardized residuals,
   // updates the agreement graph, quarantines (threshold breaches and
   // flagged cliques), and re-admits expired quarantines on probation.
+  // Cost O(observations + Σ_j |W_j|² + live_pairs · ⌈m/64⌉), W_j being task
+  // j's reports with |z| > agreement_z: pair counts are popcounts over
+  // per-user task bitsets, and only co-wrong pairs are enumerated.
   TrustStepReport end_step(const ObservationSet& raw,
                            std::span<const DomainIndex> task_domain,
                            std::span<const double> mu,
@@ -178,7 +181,9 @@ class TrustLedger {
 
   // State persistence ("trust-ledger v1": residual EWMAs, quarantine
   // cursors, the decayed agreement graph, the step cursor). Options come
-  // from the caller at load time, like every other component.
+  // from the caller at load time, like every other component. load()
+  // rejects pair keys outside lo < hi < users, keys out of ascending order
+  // and non-finite or negative pair masses.
   void save(std::ostream& out) const;
   [[nodiscard]] static TrustLedger load(std::istream& in,
                                         TrustOptions options);
@@ -188,12 +193,34 @@ class TrustLedger {
                                              TrustOptions options);
 
  private:
-  struct PairStat {
+  struct Pair {
+    std::uint64_t key = 0;     // lo_user << 32 | hi_user
     double co_wrong = 0.0;     // decayed "wrong together, same sign" mass
     double co_observed = 0.0;  // decayed shared-task mass (same pairs only)
   };
+  // Per-step scratch of the agreement-graph pass, kept across steps so a
+  // warm step allocates nothing. The bitsets are user-major, `words` =
+  // ⌈m/64⌉ words per user: bit j of a row is set when that user's report
+  // on task j was scored (`seen`) or wrong beyond agreement_z above
+  // (`wrong_pos`) or below (`wrong_neg`) the truth.
+  struct GraphScratch {
+    std::size_t words = 0;
+    std::vector<std::uint64_t> seen;
+    std::vector<std::uint64_t> wrong_pos;
+    std::vector<std::uint64_t> wrong_neg;
+    std::vector<UserId> task_pos;  // one task's users wrong above the truth
+    std::vector<UserId> task_neg;  // …and below it
+    // (key, task) for every same-sign co-wrong pair not yet in the graph;
+    // the smallest task per key is where the pair starts counting.
+    std::vector<std::pair<std::uint64_t, TaskId>> fresh;
+  };
 
   void quarantine_user(UserId user);
+  // Records task j's same-sign co-wrong pairs that are not live yet.
+  void note_fresh_pairs(std::span<const UserId> wrong, TaskId task);
+  // Adds the tasks from `first_task` on that both users of `pair` were
+  // scored on (co_observed) and wrong on in the same direction (co_wrong).
+  void count_shared_tasks(Pair& pair, TaskId first_task) const;
 
   TrustOptions options_;
   std::uint64_t step_ = 0;
@@ -202,11 +229,12 @@ class TrustLedger {
   // step + 1 until which the user is quarantined; 0 = not quarantined.
   std::vector<std::uint64_t> quarantined_until_;
   std::vector<std::uint64_t> readmissions_;  // probation re-entries per user
-  // Agreement graph: keyed (lo_user << 32 | hi_user); entries are created
-  // the first time a pair co-errs and dropped once decay erases them, so
-  // memory is bounded by actually-correlated pairs. std::map for the
-  // deterministic iteration the clustering fold requires.
-  std::map<std::uint64_t, PairStat> pairs_;
+  // Agreement graph, ascending by key: entries are created the first time
+  // a pair co-errs and dropped once decay erases them, so memory is bounded
+  // by actually-correlated pairs. Key order is the deterministic order the
+  // clustering fold and save() need.
+  std::vector<Pair> pairs_;
+  GraphScratch scratch_;
 };
 
 }  // namespace eta2::truth

@@ -1,4 +1,4 @@
-#include "alloc/knapsack.h"
+#include "knapsack.h"
 
 #include <gtest/gtest.h>
 

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
-#include "alloc/knapsack.h"
 #include "common/rng.h"
+#include "knapsack.h"
 #include "stats/normal.h"
 
 namespace eta2::alloc {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../core/golden_scenarios.h"
@@ -312,6 +314,52 @@ TEST(TrustLedgerTest, LoadRejectsBadHeaderAndTruncation) {
                std::invalid_argument);
   std::istringstream truncated("trust-ledger v1\n2 0\n0 0 0 0\n");
   EXPECT_THROW(TrustLedger::load(truncated, options), std::invalid_argument);
+  // A corrupt user count fails as a truncation, not as an allocation.
+  std::istringstream huge("trust-ledger v1\n1000000000000 0\n0 0 0 0\n");
+  EXPECT_THROW(TrustLedger::load(huge, options), std::invalid_argument);
+
+  // Pair rows: the scoring pass indexes per-user rows by both ends of the
+  // key, so every key must satisfy lo < hi < users, keys must ascend
+  // strictly, and masses must be finite and non-negative.
+  const auto load_pairs = [&options](const std::string& pairs) {
+    std::istringstream in("trust-ledger v1\n4 3\n0 0 0 0\n0 0 0 0\n"
+                          "0 0 0 0\n0 0 0 0\n" + pairs);
+    return TrustLedger::load(in, options);
+  };
+  const std::string user_4096 = std::to_string(std::uint64_t{4096});
+  EXPECT_THROW(load_pairs("pairs 1\n" + user_4096 + " 4 4\n"),
+               std::invalid_argument);  // (0, 4096) in a 4-user ledger
+  EXPECT_THROW(load_pairs("pairs 1\n4 4 4\n"),
+               std::invalid_argument);  // (0, 4): hi == users
+  EXPECT_THROW(load_pairs("pairs 1\n" +
+                          std::to_string((std::uint64_t{1} << 32) | 1) +
+                          " 4 4\n"),
+               std::invalid_argument);  // (1, 1): self pair
+  EXPECT_THROW(load_pairs("pairs 1\n" +
+                          std::to_string((std::uint64_t{2} << 32) | 1) +
+                          " 4 4\n"),
+               std::invalid_argument);  // (2, 1): lo > hi
+  EXPECT_THROW(load_pairs("pairs 2\n2 4 4\n1 4 4\n"),
+               std::invalid_argument);  // descending keys
+  EXPECT_THROW(load_pairs("pairs 2\n2 4 4\n2 4 4\n"),
+               std::invalid_argument);  // duplicate key
+  EXPECT_THROW(load_pairs("pairs 1\n2 -1 4\n"), std::invalid_argument);
+  EXPECT_THROW(load_pairs("pairs 1\n2 4 -0.5\n"), std::invalid_argument);
+  EXPECT_THROW(load_pairs("pairs 1\n2 nan 4\n"), std::invalid_argument);
+  EXPECT_NO_THROW(load_pairs("pairs 2\n1 4 4\n3 4 4\n"));  // (0,1) (0,3)
+}
+
+TEST(TrustLedgerTest, LoadedMapEraBlobSavesByteForByte) {
+  // A blob in the layout the std::map-backed ledger wrote (keys ascending,
+  // shortest round-trip numbers) loads and saves back unchanged.
+  const std::string blob =
+      "trust-ledger v1\n4 7\n1.5 2 0 0\n0.3125 0.75 9 1\n3.25 4 0 0\n"
+      "0 0 0 2\npairs 3\n1 3.5 4\n3 0.0625 1.25\n4294967298 0.5 2.25\n";
+  std::istringstream in(blob);
+  const TrustLedger ledger = TrustLedger::load(in, trimmed_options());
+  std::ostringstream out;
+  ledger.save(out);
+  EXPECT_EQ(out.str(), blob);
 }
 
 TEST(TrustLedgerTest, NeutralLedgerTrustedUpdateMatchesPlainDynamicUpdate) {
