@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/matrix.h"
 
 namespace eta2::alloc {
@@ -57,6 +58,15 @@ class Allocation {
   // Adds the pair (user, task); enforces no duplicates. `time` and `cost`
   // update the per-user load and total cost books.
   void assign(UserId user, TaskId task, double time, double cost);
+  // assign() without the checks, for allocators that keep their own
+  // assigned flags: the caller guarantees that the pair is in range and new.
+  void append(UserId user, TaskId task, double time, double cost) {
+    ETA2_ASSERT(!is_assigned(user, task) && time >= 0.0 && cost >= 0.0);
+    task_users_[task].push_back(user);
+    used_time_[user] += time;
+    total_cost_ += cost;
+    ++pair_count_;
+  }
 
   [[nodiscard]] bool is_assigned(UserId user, TaskId task) const;
   [[nodiscard]] std::span<const UserId> users_of(TaskId task) const;

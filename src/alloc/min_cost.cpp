@@ -1,10 +1,10 @@
 #include "alloc/min_cost.h"
 
-#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
+#include "alloc/greedy_engine.h"
 #include "common/check.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -55,23 +55,15 @@ MinCostAllocator::Result MinCostAllocator::run(
                                             mle.options().initial_expertise));
   }
 
-  // Tasks whose quality requirement is already met are excluded from
-  // further recruiting: they move to one appended all-zero class, so the
-  // greedy's efficiency for them is 0 — paying for extra observers on a
-  // passing task can only waste budget that a failing task needs. The
-  // other tasks keep their classes, so a class-keyed plane stays n x (K+1).
-  const std::size_t passed_class = problem.class_count();
-  AllocationProblem working;
-  working.expertise.assign(n, passed_class + 1, 0.0);
-  for (UserId i = 0; i < n; ++i) {
-    const std::span<const double> from = problem.expertise.row(i);
-    std::copy(from.begin(), from.end(), working.expertise.row(i).begin());
-  }
-  working.task_time = problem.task_time;
-  working.user_capacity = problem.user_capacity;
-  working.task_cost = problem.task_cost;
-  working.task_class.resize(m);
-  for (TaskId j = 0; j < m; ++j) working.task_class[j] = problem.class_of(j);
+  // One engine serves every data round: the plane is built once, and the
+  // pass's state persists, because rounds only add pairs and shrink
+  // capacities — every stale CELF bound stays a valid upper bound, so the
+  // selections are those of an engine rebuilt per round. Tasks whose
+  // quality requirement is already met are retired (bound 0): paying for
+  // extra observers on a passing task can only waste budget that a failing
+  // task needs.
+  const GreedyPlane plane(problem, options_.epsilon);
+  GreedyPass engine(plane, result.allocation);
   std::vector<bool> task_passed(m, false);
   std::vector<bool> asked(n * m, false);
 
@@ -81,17 +73,15 @@ MinCostAllocator::Result MinCostAllocator::run(
 
     // --- Allocate up to c° of new pairs (Algorithm 1 with a cost cap). ---
     const std::size_t pairs_before = result.allocation.pair_count();
-    GreedyOptions greedy;
-    greedy.epsilon = options_.epsilon;
-    greedy.efficiency_per_time = true;
-    greedy.cost_cap = options_.cost_per_iteration;
-    greedy_extend(working, greedy, result.allocation);
+    engine.resync_capacity(result.allocation);
+    engine.extend(/*per_time=*/true, options_.cost_per_iteration,
+                  result.allocation);
     if (options_.half_approx_pass &&
         result.allocation.pair_count() == pairs_before) {
       // The per-time pass added nothing; try the value-only pass before
       // concluding that capacities are exhausted.
-      greedy.efficiency_per_time = false;
-      greedy_extend(working, greedy, result.allocation);
+      engine.extend(/*per_time=*/false, options_.cost_per_iteration,
+                    result.allocation);
     }
     const std::size_t pairs_after = result.allocation.pair_count();
 
@@ -113,7 +103,7 @@ MinCostAllocator::Result MinCostAllocator::run(
 
     // --- Probabilistic quality check per task (Eq. 24). ---
     // The per-task information sums are independent reads of the truth
-    // estimate (the analogue of the p_ij build in GreedyState); compute
+    // estimate (the analogue of the p_ij build in GreedyPlane); compute
     // them in parallel, then apply pass/fail decisions serially.
     std::vector<double> info(m, 0.0);
     parallel::parallel_for(m, 64, [&](TaskId j) {
@@ -132,7 +122,7 @@ MinCostAllocator::Result MinCostAllocator::run(
       ETA2_ASSERT(std::isfinite(info[j]) && info[j] >= 0.0);
       if (info[j] > required_info) {
         task_passed[j] = true;
-        working.task_class[j] = passed_class;
+        engine.retire(j);
       } else {
         pass = false;
       }

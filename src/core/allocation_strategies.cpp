@@ -1,5 +1,7 @@
 #include "core/allocation_strategies.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace eta2::core {
@@ -43,11 +45,10 @@ MinCostStrategy::MinCostStrategy(const Eta2Config& config)
 void MinCostStrategy::allocate(StepContext& ctx) {
   require(ctx.store != nullptr && ctx.mle != nullptr && ctx.collect != nullptr,
           "MinCostStrategy: store, mle and collect required");
-  const auto mc =
-      allocator_.run(ctx.problem, ctx.task_domains, ctx.domain_count,
-                     ctx.store->snapshot(), *ctx.mle, *ctx.collect);
-  ctx.allocation = mc.allocation;
-  ctx.observations = mc.observations;
+  auto mc = allocator_.run(ctx.problem, ctx.task_domains, ctx.domain_count,
+                           ctx.store->snapshot(), *ctx.mle, *ctx.collect);
+  ctx.allocation = std::move(mc.allocation);
+  ctx.observations = std::move(mc.observations);
   ctx.data_iterations = mc.data_iterations;
   // Degraded mode: Algorithm 2 ran out of budget/capacity with tasks still
   // below the quality requirement — report the shortfall on the ledger.

@@ -258,6 +258,8 @@ void Eta2Server::defended_update(TruthUpdater& update, StepContext& ctx) {
       ctx.truth = result.mu;
       ctx.sigma = result.sigma;
       ctx.mle_iterations = result.iterations;
+      ctx.health.sharded_truth_iterations +=
+          static_cast<std::size_t>(result.iterations);
     } catch (const NumericalError&) {
       truth_fallback(ctx);
     }

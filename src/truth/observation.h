@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "common/check.h"
+
 namespace eta2::truth {
 
 using UserId = std::size_t;
@@ -29,6 +31,14 @@ class ObservationSet {
   // Records that `user` reported `value` for `task`. A user may report at
   // most once per task (enforced).
   void add(TaskId task, UserId user, double value);
+  // add() without the checks, for copies out of a set that is already
+  // duplicate-free: the caller guarantees that the pair is in range and new.
+  void append(TaskId task, UserId user, double value) {
+    ETA2_ASSERT(!has_observation(task, user));
+    per_task_[task].push_back(Observation{user, value});
+    ++tasks_answered_[user];
+    ++total_;
+  }
 
   [[nodiscard]] std::span<const Observation> for_task(TaskId task) const;
   [[nodiscard]] bool has_observation(TaskId task, UserId user) const;

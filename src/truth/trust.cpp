@@ -155,6 +155,8 @@ TrustFilterResult TrustLedger::filter(
           "TrustLedger::filter: domain labels != task count");
 
   TrustFilterResult result;
+  // Both passes copy subsets of `raw`, which ObservationSet::add already
+  // kept duplicate-free, so they append without re-checking.
   // Pass 1: drop quarantined users' reports.
   ObservationSet kept(raw.user_count(), raw.task_count());
   for (TaskId j = 0; j < raw.task_count(); ++j) {
@@ -163,7 +165,7 @@ TrustFilterResult TrustLedger::filter(
         ++result.dropped_quarantined;
         continue;
       }
-      kept.add(j, obs.user, obs.value);
+      kept.append(j, obs.user, obs.value);
     }
   }
   if (options_.trim_fraction <= 0.0) {
@@ -219,7 +221,7 @@ TrustFilterResult TrustLedger::filter(
         ++result.trimmed_observations;
         continue;
       }
-      trimmed.add(j, o.user, o.value);
+      trimmed.append(j, o.user, o.value);
     }
   }
   result.data = std::move(trimmed);

@@ -264,6 +264,31 @@ TEST(Eta2ServerTest, ClassKeyedAllocationReplaysOnExpandedPlane) {
   EXPECT_TRUE(discounted) << "sybil rows were never discounted";
 }
 
+TEST(Eta2ServerTest, DefendedSteadyStateReportsTruthIterations) {
+  // After warm-up a defended server estimates through the trusted sweep;
+  // its iterations count toward StepHealth like any other updater's.
+  const std::size_t n = 12;
+  Eta2Config config;
+  config.trust.tier = truth::DefenseTier::kTrimmedV1;
+  Eta2Server server(n, config, nullptr);
+  Rng rng(31);
+  Rng world(32);
+  const std::vector<double> caps(n, 6.0);
+  for (int step = 0; step < 3; ++step) {
+    const auto tasks = labeled_tasks({0, 1, 2, 0, 1, 2});
+    const CollectFn collect = [&](std::size_t j, std::size_t) {
+      return world.normal(static_cast<double>(j), 1.0);
+    };
+    const auto result = server.step(tasks, caps, collect, rng);
+    ASSERT_EQ(result.warmup, step == 0);
+    ASSERT_FALSE(result.health.truth_fallback) << "step " << step;
+    EXPECT_GT(result.mle_iterations, 0) << "step " << step;
+    EXPECT_EQ(result.health.sharded_truth_iterations,
+              static_cast<std::size_t>(result.mle_iterations))
+        << "step " << step;
+  }
+}
+
 TEST(Eta2ServerTest, CapacitySizeMismatchThrows) {
   Eta2Server server(3, Eta2Config{}, nullptr);
   Rng rng(15);
